@@ -1,4 +1,4 @@
-.PHONY: build test bench bench-compare microbench vet lint fuzz cover e2e chaos
+.PHONY: build test bench bench-compare microbench vet fmt-check lint fuzz cover e2e chaos
 
 build:
 	go build ./...
@@ -8,6 +8,10 @@ test:
 
 vet:
 	go vet ./...
+
+# Fails listing every file gofmt would rewrite.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 
 # Short native-fuzzing smoke over the cell-key round-trip property and
 # the snapshot codec (mutated checkpoint bytes must decode with
@@ -19,10 +23,10 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzSnapshotRoundTrip -fuzztime 10s ./internal/snapshot
 	go test -run '^$$' -fuzz FuzzScoreStateRoundTrip -fuzztime 10s ./internal/stream
 
-# lint = vet + the repo's godoc discipline (every exported symbol in
-# internal/ and cmd/ must carry a doc comment, see cmd/doccheck) + the
-# fuzz smoke run.
-lint: vet fuzz
+# lint = gofmt cleanliness + vet + the repo's godoc discipline (every
+# exported symbol in internal/ and cmd/ must carry a doc comment, see
+# cmd/doccheck) + the fuzz smoke run.
+lint: fmt-check vet fuzz
 	go run ./cmd/doccheck ./internal ./cmd
 
 # Coverage gate: fails when internal/... test coverage drops below the

@@ -145,8 +145,6 @@ type report struct {
 	GOMAXPROCS    int                  `json:"gomaxprocs"`
 	Benchmarks    []result             `json:"benchmarks"`
 	Ratios        map[string]float64   `json:"shard8_over_shard1"`
-	Coalesce      []coalesceResult     `json:"coalesce"`
-	SweepPause    *sweepPauseResult    `json:"sweep_pause"`
 	Drift         *driftResult         `json:"drift_memory"`
 	Evolution     *evolutionResult     `json:"sst_evolution"`
 	Supervised    *supervisedResult    `json:"supervised"`
@@ -156,14 +154,13 @@ type report struct {
 }
 
 // run measures throughput for one scenario: a (dims, shards) grid point
-// on the default clustered stream, or — for the duplication-aware
-// coalescing scenarios — the uniform adversarial stream and/or the
-// Config.NoCoalesce fused path.
-func run(name string, d, shards, batch int, dur time.Duration, uniform, noCoalesce bool) (result, error) {
+// on the default clustered stream, or the uniform adversarial stream
+// (~1.8 points per distinct cell per batch, the low-duplication end of
+// batch coalescing).
+func run(name string, d, shards, batch int, dur time.Duration, uniform bool) (result, error) {
 	cfg := stream.DefaultConfig(d)
 	cfg.MaxSubspaceDim = bench.MaxDimFor(d)
 	cfg.Shards = shards
-	cfg.NoCoalesce = noCoalesce
 	// The timed loop recycles a small batch pool, so every point recurs
 	// with a period ~3× the decay window and every cell looks
 	// perpetually fresh — a degenerate workload the populated-RD test
@@ -357,118 +354,6 @@ func rankMetrics(scores []float64, labels []bool) (auc, precAtK float64, k int) 
 	}
 	precAtK = credit / float64(k)
 	return auc, precAtK, k
-}
-
-// coalesceResult reports the duplication-aware coalescing scenarios:
-// the same d=20/shards=1 configuration measured with batch cell
-// coalescing on and off (Config.NoCoalesce), on the clustered default
-// stream (heavy intra-batch duplication — the win case) and on the
-// adversarial uniform stream (almost no duplication in the high-arity
-// subspaces — the stay-flat case, which the per-subspace adaptive gate
-// enforces by routing duplication-free subspaces back to the fused
-// path). The full per-run rows also live in benchmarks[], so
-// bench-compare gates on them like any grid point.
-type coalesceResult struct {
-	Dims                  int     `json:"dims"`
-	Shards                int     `json:"shards"`
-	Batch                 int     `json:"batch"`
-	Scenario              string  `json:"scenario"`
-	PointsPerSecOn        float64 `json:"points_per_sec_coalesce"`
-	PointsPerSecOff       float64 `json:"points_per_sec_nocoalesce"`
-	OnOverOff             float64 `json:"coalesce_over_nocoalesce"`
-	DistinctCellsPerBatch float64 `json:"distinct_cells_per_batch"`
-	CellDupRatio          float64 `json:"cell_dup_ratio"`
-}
-
-// coalesceSummary pairs one scenario's coalesce-on and -off rows.
-func coalesceSummary(scenario string, on, off result) coalesceResult {
-	return coalesceResult{
-		Dims:                  on.Dims,
-		Shards:                on.Shards,
-		Batch:                 on.Batch,
-		Scenario:              scenario,
-		PointsPerSecOn:        on.PointsPerSec,
-		PointsPerSecOff:       off.PointsPerSec,
-		OnOverOff:             on.PointsPerSec / off.PointsPerSec,
-		DistinctCellsPerBatch: on.DistinctCellsPerBatch,
-		CellDupRatio:          on.CellDupRatio,
-	}
-}
-
-// sweepPauseResult reports the epoch-sweep pause with the per-shard
-// table sweeps run serially on the dispatcher vs fanned out to the
-// shard workers, on the same stream. Pauses are the mean wall time of
-// a sweep's table scans (SST evolution excluded); the ratio is only
-// meaningful on multi-core machines — on one CPU the parallel fan-out
-// can't overlap and merely adds handoff cost.
-type sweepPauseResult struct {
-	Dims               int     `json:"dims"`
-	Shards             int     `json:"shards"`
-	EpochTicks         uint64  `json:"epoch_ticks"`
-	Points             int     `json:"points"`
-	Sweeps             uint64  `json:"sweeps"`
-	ProjectedCells     int     `json:"projected_cells"`
-	SerialNsPerSweep   float64 `json:"serial_ns_per_sweep"`
-	ParallelNsPerSweep float64 `json:"parallel_ns_per_sweep"`
-	ParallelOverSerial float64 `json:"parallel_over_serial"`
-}
-
-// runSweepPause feeds the identical batched stream through two
-// detectors differing only in Config.SerialSweep and reports the mean
-// epoch pause of each.
-func runSweepPause() (*sweepPauseResult, error) {
-	const (
-		d      = 20
-		shards = 4
-		batch  = 512
-		epochs = 16
-	)
-	measure := func(serial bool) (stream.Stats, error) {
-		cfg := stream.DefaultConfig(d)
-		cfg.MaxSubspaceDim = bench.MaxDimFor(d)
-		cfg.Shards = shards
-		cfg.SerialSweep = serial
-		det, err := stream.New(cfg)
-		if err != nil {
-			return stream.Stats{}, err
-		}
-		defer det.Close()
-		gen := bench.NewGenerator(bench.DefaultGenConfig(d))
-		flat := make([]float64, batch*d)
-		labels := make([]bool, batch)
-		out := make([]bool, batch)
-		points := epochs * int(cfg.EpochTicks)
-		for fed := 0; fed < points; fed += batch {
-			gen.Fill(flat, labels, batch)
-			det.ProcessBatch(flat, out)
-		}
-		return det.Stats(), nil
-	}
-	ser, err := measure(true)
-	if err != nil {
-		return nil, err
-	}
-	par, err := measure(false)
-	if err != nil {
-		return nil, err
-	}
-	if ser.Sweeps == 0 || par.Sweeps == 0 {
-		return nil, fmt.Errorf("sweep pause run recorded no sweeps")
-	}
-	serNs := float64(ser.SweepNanos) / float64(ser.Sweeps)
-	parNs := float64(par.SweepNanos) / float64(par.Sweeps)
-	cfgTicks := stream.DefaultConfig(d).EpochTicks
-	return &sweepPauseResult{
-		Dims:               d,
-		Shards:             shards,
-		EpochTicks:         cfgTicks,
-		Points:             epochs * int(cfgTicks),
-		Sweeps:             par.Sweeps,
-		ProjectedCells:     par.ProjectedCells,
-		SerialNsPerSweep:   serNs,
-		ParallelNsPerSweep: parNs,
-		ParallelOverSerial: parNs / serNs,
-	}, nil
 }
 
 // runDrift measures the memory-bounding behavior on a jump-drifting
@@ -1248,11 +1133,10 @@ func main() {
 		os.Exit(1)
 	}
 	perDim := map[int]map[int]float64{}
-	var gridOn result // the d=20/shards=1 grid point doubles as the clustered coalesce-on leg
 	for _, d := range []int{20, 50, 100} {
 		perDim[d] = map[int]float64{}
 		for _, shards := range []int{1, 4, 8} {
-			r, err := run(fmt.Sprintf("d=%d/shards=%d", d, shards), d, shards, *batch, *dur, false, false)
+			r, err := run(fmt.Sprintf("d=%d/shards=%d", d, shards), d, shards, *batch, *dur, false)
 			if err != nil {
 				fail(err)
 			}
@@ -1261,43 +1145,21 @@ func main() {
 				r.Subspaces, r.ProjectedCell, r.DistinctCellsPerBatch, r.CellDupRatio)
 			rep.Benchmarks = append(rep.Benchmarks, r)
 			perDim[d][shards] = r.PointsPerSec
-			if d == 20 && shards == 1 {
-				gridOn = r
-			}
 		}
 		if perDim[d][1] > 0 {
 			rep.Ratios[fmt.Sprintf("d=%d", d)] = perDim[d][8] / perDim[d][1]
 		}
 	}
-	// Duplication-aware coalescing scenarios at d=20/shards=1: the win
-	// case (clustered — its coalesce-on leg IS the grid measurement,
-	// not a duplicate run) and the adversarial stay-flat case (uniform)
-	// each get a NoCoalesce counterpart row.
-	clOff, err := run("d=20/shards=1/clustered/nocoalesce", 20, 1, *batch, *dur, false, true)
+	// The adversarial uniform stream at d=20/shards=1: ~1.8 points per
+	// distinct cell per batch against ~33 on the clustered grid point,
+	// so it times batch coalescing with little duplication to exploit.
+	uq, err := run("d=20/shards=1/unique/coalesce", 20, 1, *batch, *dur, true)
 	if err != nil {
 		fail(err)
 	}
-	uqOn, err := run("d=20/shards=1/unique/coalesce", 20, 1, *batch, *dur, true, false)
-	if err != nil {
-		fail(err)
-	}
-	uqOff, err := run("d=20/shards=1/unique/nocoalesce", 20, 1, *batch, *dur, true, true)
-	if err != nil {
-		fail(err)
-	}
-	rep.Benchmarks = append(rep.Benchmarks, clOff, uqOn, uqOff)
-	rep.Coalesce = append(rep.Coalesce, coalesceSummary("clustered", gridOn, clOff), coalesceSummary("unique", uqOn, uqOff))
-	for _, cr := range rep.Coalesce {
-		fmt.Printf("coalesce %-10s %8.0f vs %8.0f points/sec off (×%.2f, %.0f distinct/batch ×%.1f dup)\n",
-			cr.Scenario, cr.PointsPerSecOn, cr.PointsPerSecOff, cr.OnOverOff, cr.DistinctCellsPerBatch, cr.CellDupRatio)
-	}
-	sp, err := runSweepPause()
-	if err != nil {
-		fail(err)
-	}
-	rep.SweepPause = sp
-	fmt.Printf("sweep pause d=%d/shards=%d: serial %.0fns parallel %.0fns (×%.2f, %d cells)\n",
-		sp.Dims, sp.Shards, sp.SerialNsPerSweep, sp.ParallelNsPerSweep, sp.ParallelOverSerial, sp.ProjectedCells)
+	rep.Benchmarks = append(rep.Benchmarks, uq)
+	fmt.Printf("%-18s %12.0f points/sec  (%.0f distinct/batch ×%.1f dup)\n",
+		uq.Name, uq.PointsPerSec, uq.DistinctCellsPerBatch, uq.CellDupRatio)
 	dr, err := runDrift()
 	if err != nil {
 		fail(err)

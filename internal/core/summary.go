@@ -64,27 +64,6 @@ func (t *DecayTable) At(dt uint64) float64 {
 	return decayWeight(t.lambda, dt)
 }
 
-// Series returns the closed-form geometric series 1 + f + f² + … +
-// f^(m-1) with f = At(1): the total decayed weight, as seen at the last
-// tick, of m touches at consecutive ticks. It is the algebra behind run
-// folding — a summary receiving one unit per tick for m ticks ends at
-// Dc·f^m + Series(m) — evaluated from table powers in O(1) instead of m
-// iterated multiply-adds. The closed form agrees with the iterated fold
-// only up to floating-point rounding, so the ingestion path (whose
-// verdicts must stay bit-identical between the coalesced and pointwise
-// orders) uses the exact Horner evaluation in PCS.TouchRun and this
-// form backs analysis and tests.
-func (t *DecayTable) Series(m uint64) float64 {
-	if m == 0 {
-		return 0
-	}
-	f := t.At(1)
-	if f == 1 {
-		return float64(m)
-	}
-	return (1 - t.At(m)) / (1 - f)
-}
-
 // PCS is the Projected Cell Summary: the per-cell state SPOT keeps for
 // every populated cell of every subspace in the SST. All fields decay
 // with the fading factor; decay is applied lazily when the cell is next
@@ -114,41 +93,6 @@ func (p *PCS) Touch(t *DecayTable, tick uint64, m float64) {
 	p.Dc++
 	p.S += m
 	p.Q += m * m
-}
-
-// TouchRun folds a whole run of touches on one cell: touch j occurs at
-// tick ticks[j] (strictly increasing, all ≥ p.Last) with magnitude
-// mags[j], and the post-touch magnitude sum and density are snapshotted
-// into ss[j] and dcs[j] (both len ≥ len(ticks)) — the per-point view a
-// verdict pass consumes. It is the decayed geometric-series fold of the
-// coalesced batch path, evaluated by Horner's rule with the summary
-// held in registers across the run: Dc after the run is
-// Dc₀·f^Δ + Σⱼ f^δⱼ (DecayTable.Series gives the consecutive-tick
-// closed form), but folding it one touch at a time keeps every
-// intermediate — and therefore every verdict — bit-identical to
-// iterated Touch calls, which a property test pins across random tick
-// gaps and the decay-table fallback boundary. No heap allocations.
-func (p *PCS) TouchRun(t *DecayTable, ticks []uint64, mags []float64, ss, dcs []float64) {
-	mags = mags[:len(ticks)]
-	ss = ss[:len(ticks)]
-	dcs = dcs[:len(ticks)]
-	dc, sv, q, last := p.Dc, p.S, p.Q, p.Last
-	for j, tick := range ticks {
-		if last != tick {
-			f := t.At(tick - last)
-			dc *= f
-			sv *= f
-			q *= f
-			last = tick
-		}
-		m := mags[j]
-		dc++
-		sv += m
-		q += m * m
-		ss[j] = sv
-		dcs[j] = dc
-	}
-	p.Dc, p.S, p.Q, p.Last = dc, sv, q, last
 }
 
 // DcAt returns the decayed density as seen at tick without mutating the

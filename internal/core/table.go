@@ -19,8 +19,8 @@ package core
 // exactly one index cache line: hash the key with an inline xor-shift +
 // Fibonacci multiply, load the home bucket, compare, done — no hashing
 // call, no second indirection into the key slice, and linear probing on
-// the rare collision. MapPCSTable keeps the previous map-backed
-// implementation alive as the differential-testing oracle.
+// the rare collision. The previous map-backed implementation lives on
+// in the tests (MapPCSTable) as the differential-testing oracle.
 
 import "math/bits"
 
@@ -409,8 +409,8 @@ func AssembleCols(keyBase uint64, coordCols [][]uint8, valCols [][]float64, keys
 // (AssembleCols) and grouped them into per-cell runs (Grouper.Group);
 // TouchRuns probes the index once per distinct cell and folds that
 // cell's whole run — point i touches at tick t0+i+1 with magnitude
-// mags[i] — with the summary held in registers across the run (the body
-// of PCS.TouchRun, inlined). Post-touch magnitude sums and densities
+// mags[i] — with the summary held in registers across the run (PCS.Touch
+// unrolled over the run). Post-touch magnitude sums and densities
 // land in ss[i]/dcs[i] at the run positions, so the caller's verdict
 // pass reads the exact per-point trajectory of the pointwise path:
 // within a cell the ticks fold in increasing order and across cells the
@@ -458,7 +458,7 @@ func (t *PCSTable) TouchRuns(d *DecayTable, t0 uint64, g *Grouper, mags, ss, dcs
 				j = (j + 1) & mask
 			}
 		}
-		// The body of PCS.TouchRun, inlined: the cell is loaded and
+		// PCS.Touch unrolled over the run: the cell is loaded and
 		// stored once per run instead of once per point.
 		p := &cells[slot]
 		dc, sv, q, last := p.Dc, p.S, p.Q, p.Last
@@ -675,92 +675,6 @@ func (t *PCSTable) Sweep(d *DecayTable, tick uint64, eps float64, visit func(key
 // purge all cells of a subspace demoted from the SST so its ID can be
 // reused without ghost summaries.
 func (t *PCSTable) EvictIf(pred func(key uint64) bool) int {
-	evicted := 0
-	for i := 0; i < len(t.cells); {
-		if !pred(t.keys[i]) {
-			i++
-			continue
-		}
-		t.removeAt(i)
-		evicted++
-	}
-	return evicted
-}
-
-// MapPCSTable is the previous, Go-map-indexed projected-cell table,
-// kept as the differential-testing oracle for PCSTable: same dense
-// keys/cells layout and identical Get/At/Sweep/EvictIf semantics, with
-// the index maintenance delegated to a map[uint64]uint32. The
-// randomized table property test drives both implementations through
-// interleaved operation sequences and requires identical observable
-// state; the microbenchmarks use it as the perf reference the
-// open-addressed index is measured against.
-type MapPCSTable struct {
-	index map[uint64]uint32
-	keys  []uint64
-	cells []PCS
-}
-
-// NewMapPCSTable returns an empty map-indexed oracle table.
-func NewMapPCSTable() *MapPCSTable {
-	return &MapPCSTable{index: make(map[uint64]uint32)}
-}
-
-// Len returns the number of populated cells in the table.
-func (t *MapPCSTable) Len() int { return len(t.cells) }
-
-// Get returns the summary for the cell key, creating an empty summary
-// stamped at tick if the cell was not yet populated; same contract as
-// PCSTable.Get.
-func (t *MapPCSTable) Get(key uint64, tick uint64) *PCS {
-	if i, ok := t.index[key]; ok {
-		return &t.cells[i]
-	}
-	i := uint32(len(t.cells))
-	t.cells = append(t.cells, PCS{Last: tick})
-	t.keys = append(t.keys, key)
-	t.index[key] = i
-	return &t.cells[i]
-}
-
-// At returns the key and summary at dense position i (0 ≤ i < Len).
-func (t *MapPCSTable) At(i int) (uint64, *PCS) { return t.keys[i], &t.cells[i] }
-
-// removeAt evicts the cell at dense position i by swap-remove.
-func (t *MapPCSTable) removeAt(i int) {
-	last := len(t.cells) - 1
-	delete(t.index, t.keys[i])
-	if i != last {
-		t.cells[i] = t.cells[last]
-		t.keys[i] = t.keys[last]
-		t.index[t.keys[i]] = uint32(i)
-	}
-	t.cells = t.cells[:last]
-	t.keys = t.keys[:last]
-}
-
-// Sweep visits every cell once, evicting below-eps cells; same contract
-// as PCSTable.Sweep.
-func (t *MapPCSTable) Sweep(d *DecayTable, tick uint64, eps float64, visit func(key uint64, dc float64)) int {
-	evicted := 0
-	for i := 0; i < len(t.cells); {
-		dc := t.cells[i].DcAt(d, tick)
-		if dc < eps {
-			t.removeAt(i)
-			evicted++
-			continue
-		}
-		if visit != nil {
-			visit(t.keys[i], dc)
-		}
-		i++
-	}
-	return evicted
-}
-
-// EvictIf removes every cell whose key matches pred; same contract as
-// PCSTable.EvictIf.
-func (t *MapPCSTable) EvictIf(pred func(key uint64) bool) int {
 	evicted := 0
 	for i := 0; i < len(t.cells); {
 		if !pred(t.keys[i]) {

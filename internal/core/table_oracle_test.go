@@ -151,3 +151,89 @@ func TestPCSTableGrowthChurn(t *testing.T) {
 		}
 	}
 }
+
+// MapPCSTable is the previous, Go-map-indexed projected-cell table,
+// kept as the differential-testing oracle for PCSTable: same dense
+// keys/cells layout and identical Get/At/Sweep/EvictIf semantics, with
+// the index maintenance delegated to a map[uint64]uint32. The
+// randomized table property test drives both implementations through
+// interleaved operation sequences and requires identical observable
+// state; the microbenchmarks use it as the perf reference the
+// open-addressed index is measured against.
+type MapPCSTable struct {
+	index map[uint64]uint32
+	keys  []uint64
+	cells []PCS
+}
+
+// NewMapPCSTable returns an empty map-indexed oracle table.
+func NewMapPCSTable() *MapPCSTable {
+	return &MapPCSTable{index: make(map[uint64]uint32)}
+}
+
+// Len returns the number of populated cells in the table.
+func (t *MapPCSTable) Len() int { return len(t.cells) }
+
+// Get returns the summary for the cell key, creating an empty summary
+// stamped at tick if the cell was not yet populated; same contract as
+// PCSTable.Get.
+func (t *MapPCSTable) Get(key uint64, tick uint64) *PCS {
+	if i, ok := t.index[key]; ok {
+		return &t.cells[i]
+	}
+	i := uint32(len(t.cells))
+	t.cells = append(t.cells, PCS{Last: tick})
+	t.keys = append(t.keys, key)
+	t.index[key] = i
+	return &t.cells[i]
+}
+
+// At returns the key and summary at dense position i (0 ≤ i < Len).
+func (t *MapPCSTable) At(i int) (uint64, *PCS) { return t.keys[i], &t.cells[i] }
+
+// removeAt evicts the cell at dense position i by swap-remove.
+func (t *MapPCSTable) removeAt(i int) {
+	last := len(t.cells) - 1
+	delete(t.index, t.keys[i])
+	if i != last {
+		t.cells[i] = t.cells[last]
+		t.keys[i] = t.keys[last]
+		t.index[t.keys[i]] = uint32(i)
+	}
+	t.cells = t.cells[:last]
+	t.keys = t.keys[:last]
+}
+
+// Sweep visits every cell once, evicting below-eps cells; same contract
+// as PCSTable.Sweep.
+func (t *MapPCSTable) Sweep(d *DecayTable, tick uint64, eps float64, visit func(key uint64, dc float64)) int {
+	evicted := 0
+	for i := 0; i < len(t.cells); {
+		dc := t.cells[i].DcAt(d, tick)
+		if dc < eps {
+			t.removeAt(i)
+			evicted++
+			continue
+		}
+		if visit != nil {
+			visit(t.keys[i], dc)
+		}
+		i++
+	}
+	return evicted
+}
+
+// EvictIf removes every cell whose key matches pred; same contract as
+// PCSTable.EvictIf.
+func (t *MapPCSTable) EvictIf(pred func(key uint64) bool) int {
+	evicted := 0
+	for i := 0; i < len(t.cells); {
+		if !pred(t.keys[i]) {
+			i++
+			continue
+		}
+		t.removeAt(i)
+		evicted++
+	}
+	return evicted
+}

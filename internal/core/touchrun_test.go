@@ -102,3 +102,54 @@ func TestSeriesClosedForm(t *testing.T) {
 		}
 	}
 }
+
+// TouchRun is the stand-alone form of the run fold PCSTable.TouchRuns
+// inlines per cell: touch j occurs at tick ticks[j] (strictly
+// increasing, all ≥ p.Last) with magnitude mags[j], and the post-touch
+// magnitude sum and density are snapshotted into ss[j] and dcs[j] —
+// the per-point view a verdict pass consumes. Dc after the run is
+// Dc₀·f^Δ + Σⱼ f^δⱼ (Series gives the consecutive-tick closed form),
+// but folding one touch at a time with the summary in registers keeps
+// every intermediate bit-identical to iterated Touch calls, which the
+// tests above pin across random tick gaps and the decay-table fallback
+// boundary.
+func (p *PCS) TouchRun(t *DecayTable, ticks []uint64, mags []float64, ss, dcs []float64) {
+	mags = mags[:len(ticks)]
+	ss = ss[:len(ticks)]
+	dcs = dcs[:len(ticks)]
+	dc, sv, q, last := p.Dc, p.S, p.Q, p.Last
+	for j, tick := range ticks {
+		if last != tick {
+			f := t.At(tick - last)
+			dc *= f
+			sv *= f
+			q *= f
+			last = tick
+		}
+		m := mags[j]
+		dc++
+		sv += m
+		q += m * m
+		ss[j] = sv
+		dcs[j] = dc
+	}
+	p.Dc, p.S, p.Q, p.Last = dc, sv, q, last
+}
+
+// Series returns the closed-form geometric series 1 + f + f² + … +
+// f^(m-1) with f = At(1): the total decayed weight, as seen at the last
+// tick, of m touches at consecutive ticks. It is the algebra behind run
+// folding — a summary receiving one unit per tick for m ticks ends at
+// Dc·f^m + Series(m) — but it agrees with the iterated fold only up to
+// floating-point rounding, so ingestion folds exactly (TouchRun) and
+// the closed form only checks it.
+func (t *DecayTable) Series(m uint64) float64 {
+	if m == 0 {
+		return 0
+	}
+	f := t.At(1)
+	if f == 1 {
+		return float64(m)
+	}
+	return (1 - t.At(m)) / (1 - f)
+}

@@ -33,8 +33,8 @@ func TestTemplateLifecycleTable(t *testing.T) {
 				{promote: []uint16{0, 1}, wantID: 6},
 				{promote: []uint16{1, 2}, wantID: 7},
 				{promote: []uint16{2, 3}, wantID: 8},
-				{demote: []uint16{0, 1}},           // frees slot 6
-				{demote: []uint16{1, 2}},           // frees slot 7
+				{demote: []uint16{0, 1}},             // frees slot 6
+				{demote: []uint16{1, 2}},             // frees slot 7
 				{promote: []uint16{3, 4}, wantID: 7}, // most recently freed first
 				{promote: []uint16{4, 5}, wantID: 6},
 				{promote: []uint16{0, 5}, wantID: 9}, // tombstones exhausted → append
@@ -59,9 +59,9 @@ func TestTemplateLifecycleTable(t *testing.T) {
 			name: "fixed_duplicate_rejected_not_double_counted",
 			d:    4, maxDim: 2,
 			ops: []op{
-				{promote: []uint16{2}, wantErr: true},    // duplicates fixed arity-1
-				{promote: []uint16{0, 3}, wantErr: true}, // duplicates fixed arity-2
-				{promote: []uint16{0, 1, 2}, wantID: 10}, // 4 + C(4,2) = 10 fixed slots
+				{promote: []uint16{2}, wantErr: true},       // duplicates fixed arity-1
+				{promote: []uint16{0, 3}, wantErr: true},    // duplicates fixed arity-2
+				{promote: []uint16{0, 1, 2}, wantID: 10},    // 4 + C(4,2) = 10 fixed slots
 				{promote: []uint16{0, 1, 2}, wantErr: true}, // duplicates live evolved
 				{demote: []uint16{0, 1, 2}},
 				{promote: []uint16{0, 1, 2}, wantID: 10}, // re-promotable after demote
@@ -73,11 +73,11 @@ func TestTemplateLifecycleTable(t *testing.T) {
 			name: "malformed_proposals_rejected",
 			d:    5, maxDim: 1,
 			ops: []op{
-				{promote: []uint16{3, 1}, wantErr: true},          // not strictly increasing
-				{promote: []uint16{2, 2}, wantErr: true},          // repeated dimension
-				{promote: []uint16{1, 7}, wantErr: true},          // dimension out of range
-				{promote: []uint16{0, 1, 2, 3, 4}, wantID: 5},     // max-arity set is fine
-				{promote: []uint16{}, wantErr: true},              // empty set
+				{promote: []uint16{3, 1}, wantErr: true},      // not strictly increasing
+				{promote: []uint16{2, 2}, wantErr: true},      // repeated dimension
+				{promote: []uint16{1, 7}, wantErr: true},      // dimension out of range
+				{promote: []uint16{0, 1, 2, 3, 4}, wantID: 5}, // max-arity set is fine
+				{promote: []uint16{}, wantErr: true},          // empty set
 			},
 			wantCount:   6,
 			wantEvolved: 1,

@@ -260,7 +260,8 @@ func (s *shard) resetAutoSamples() {
 // foldAutoSample folds one (subspace, point) observation into the
 // shard's per-slot measure minima: the post-touch RD always, and —
 // behind the identical rd < 1 gate the verdict pass uses, so the
-// calibrated tail matches the tested population — IRSD and IkRD.
+// calibrated tail matches the tested population — IRSD and IkRD,
+// computed by the evaluator's own irsd/ikrd.
 // The inputs are the same tick-time scalars the verdict compares
 // (post-touch cell density and magnitude sum, the subspace totals
 // snapshotted at the point's tick), so the sampled distribution is
@@ -274,38 +275,11 @@ func (s *shard) foldAutoSample(st *subspaceState, li int, key uint64, lhs, dc, c
 	if rd >= 1 {
 		return
 	}
-	mu := ts / tdc
-	if v := tq/tdc - mu*mu; v > 0 {
-		z := math.Abs(cellS/dc-mu) / math.Sqrt(v)
-		if irsd := 1 / (1 + z); irsd < s.autoSamp[autoIRSD][ar][slot] {
-			s.autoSamp[autoIRSD][ar][slot] = irsd
-		}
+	if v, ok := irsd(cellS/dc, tdc, ts, tq); ok && v < s.autoSamp[autoIRSD][ar][slot] {
+		s.autoSamp[autoIRSD][ar][slot] = v
 	}
-	if st.invMaxDist > 0 {
-		k := s.det.cfg.K
-		repKey := s.repKeys[li*k : li*k+k]
-		repDc := s.repDcs[li*k : li*k+k]
-		sum, cnt := 0.0, 0
-		for i, rk := range repKey {
-			if repDc[i] <= 0 || rk == key {
-				continue
-			}
-			dist := 0
-			for j := 0; j < ar; j++ {
-				dj := int(core.CoordAt(key, j)) - int(core.CoordAt(rk, j))
-				if dj < 0 {
-					dj = -dj
-				}
-				dist += dj
-			}
-			sum += float64(dist)
-			cnt++
-		}
-		if cnt > 0 {
-			if ikrd := 1 - (sum/float64(cnt))*st.invMaxDist; ikrd < s.autoSamp[autoIkRD][ar][slot] {
-				s.autoSamp[autoIkRD][ar][slot] = ikrd
-			}
-		}
+	if v, ok := s.ikrd(st, li, key); ok && v < s.autoSamp[autoIkRD][ar][slot] {
+		s.autoSamp[autoIkRD][ar][slot] = v
 	}
 }
 

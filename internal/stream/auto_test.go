@@ -200,8 +200,9 @@ func TestAutoThresholdRefitsUnderDrift(t *testing.T) {
 // TestAutoThresholdShardAndBatchInvariance extends the engine's core
 // invariant to auto mode: calibrated thresholds are fitted from a
 // merged, sorted census on the dispatcher, so verdicts are identical
-// across shard counts, batch vs pointwise ingestion, and both
-// coalescing modes.
+// across shard counts, batch vs pointwise ingestion, and both touch
+// paths (300-point batches coalesce, batches under 64 points take the
+// fused path).
 func TestAutoThresholdShardAndBatchInvariance(t *testing.T) {
 	const n = 3 * 512
 	d := 5
@@ -223,34 +224,34 @@ func TestAutoThresholdShardAndBatchInvariance(t *testing.T) {
 		}
 		return out
 	}
-	runBatch := func(shards int, noCoalesce bool) []bool {
+	runBatch := func(shards int, plan []int) []bool {
 		cfg := autoTestConfig(0.01)
 		cfg.Dims = d
 		cfg.Shards = shards
-		cfg.NoCoalesce = noCoalesce
 		det, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer det.Close()
 		out := make([]bool, n)
-		for done := 0; done < n; {
-			chunk := 300
-			if done+chunk > n {
-				chunk = n - done
-			}
+		done := 0
+		for _, chunk := range plan {
 			det.ProcessBatch(flat[done*d:(done+chunk)*d], out[done:done+chunk])
 			done += chunk
 		}
 		return out
 	}
+	var plan300 []int
+	for done := 0; done < n; done += 300 {
+		plan300 = append(plan300, min(300, n-done))
+	}
 
 	ref := runPointwise(1)
 	variants := map[string][]bool{
 		"pointwise/shards=3":         runPointwise(3),
-		"batch/shards=1":             runBatch(1, false),
-		"batch/shards=4":             runBatch(4, false),
-		"batch/shards=4/no-coalesce": runBatch(4, true),
+		"batch/shards=1":             runBatch(1, plan300),
+		"batch/shards=4":             runBatch(4, plan300),
+		"batch/shards=4/small-batch": runBatch(4, smallBatchPlan(n, 31)),
 	}
 	for name, got := range variants {
 		for i := range ref {

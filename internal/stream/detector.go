@@ -8,22 +8,20 @@
 // subspaces). Each shard exclusively owns the cell table, totals and
 // representative set of its subspaces, so the hot path takes no locks —
 // a shard's state is only ever touched by the goroutine processing it.
-// Process walks the shards inline on the caller's goroutine
-// (deterministic, allocation-free); ProcessBatch hands the whole batch
-// to one worker goroutine per shard and synchronizes only at batch
-// boundaries via channels. Verdicts are identical regardless of shard
-// count.
+// Every ingest call hands its points to one worker goroutine per shard
+// and synchronizes only at batch boundaries via channels; Process is a
+// one-point batch. Verdicts are identical regardless of shard count and
+// of how the stream is cut into batches.
 //
 // Epoch engine: when Config.EpochTicks is set, the detector pauses at
-// every multiple of it — between points in Process, between internally
-// split sub-batches in ProcessBatch, always with the workers idle — and
-// sweeps every summary table once: summaries whose decayed density fell
-// below Config.EvictEpsilon are evicted (bounding memory on drifting
-// streams), per-arity average populated-cell densities are recomputed
-// (feeding the arity-aware RD test), and the optional sst.Evolver is
-// consulted to promote or demote self-evolving SST subspaces. Because
-// sweeps happen at exact ticks in both modes, batch and pointwise
-// verdicts stay identical.
+// every multiple of it — between internally split sub-batches, always
+// with the workers idle — and sweeps every summary table once:
+// summaries whose decayed density fell below Config.EvictEpsilon are
+// evicted (bounding memory on drifting streams), per-arity average
+// populated-cell densities are recomputed (feeding the arity-aware RD
+// test), and the optional sst.Evolver is consulted to promote or demote
+// self-evolving SST subspaces. Because sweeps happen at exact ticks,
+// batch and pointwise verdicts stay identical.
 package stream
 
 import (
@@ -42,7 +40,8 @@ import (
 // not take the detector's learned state down with it.
 var (
 	// ErrBatchLength marks a flat batch whose length is not a multiple
-	// of the configured dimensionality.
+	// of the configured dimensionality, or a single point (ProcessErr)
+	// whose length is not exactly Dims.
 	ErrBatchLength = errors.New("stream: batch length not a multiple of Dims")
 	// ErrVerdictBuffer marks a verdict buffer shorter than the batch.
 	ErrVerdictBuffer = errors.New("stream: verdict buffer shorter than batch")
@@ -167,15 +166,6 @@ type Config struct {
 	// instead of pinning subspaces to anomalies long gone. 0 retains
 	// examples until displaced by MaxExamples.
 	ExampleTTL uint64
-	// SerialSweep forces epoch sweeps to run inline on the dispatcher
-	// goroutine even when shard workers are available. By default the
-	// per-shard table sweeps fan out to the shard workers (each table
-	// is shard-exclusive and each subspace's statistics are written by
-	// exactly one shard, so results are identical) while the dispatcher
-	// sweeps the base-cell table, shrinking the epoch pause. Sweep
-	// results are bit-identical either way; the flag exists to measure
-	// the pause difference and to debug with a single-threaded sweep.
-	SerialSweep bool
 	// Scoring retains per-subspace deviation magnitudes through the
 	// verdict pass and folds them into one calibrated ensemble outlier
 	// score per flagged point (see ProcessScored, ProcessBatchScored,
@@ -190,16 +180,6 @@ type Config struct {
 	// whose entries fade with Lambda and are evicted below
 	// EvictEpsilon at epoch sweeps. Requires Scoring. 0 disables.
 	TopK int
-	// NoCoalesce disables batch cell coalescing: ProcessBatch then
-	// always takes the fused one-probe-per-point TouchCols path instead
-	// of grouping each (subspace, batch) by cell and probing once per
-	// distinct cell. Coalescing is on by default with a per-subspace
-	// adaptive gate that already falls back on duplication-free
-	// workloads, and both paths fold identical arithmetic in identical
-	// per-cell tick order — verdicts are bit-identical — so the flag
-	// exists to measure the coalescing win (the bench harness records
-	// both) and to debug with the simpler path.
-	NoCoalesce bool
 	// AutoThreshold, when enabled (Risk > 0), replaces the fixed
 	// RD/IRSD/IkRD verdict thresholds with EVT-calibrated ones: the
 	// detector samples the per-point measure distribution on a
@@ -278,8 +258,7 @@ type Detector struct {
 
 	// Base Cell Summaries over the full d-dimensional space; owned by
 	// the dispatcher goroutine, updated while shard workers run.
-	bcs      *core.BCSTable
-	bscratch []uint8 // 1×Dims discretization plane of the pointwise path
+	bcs *core.BCSTable
 
 	// Discretization plane of the current batch: the n×Dims interval
 	// indices, computed once by the dispatcher and read by every shard
@@ -416,18 +395,14 @@ func New(cfg Config) (*Detector, error) {
 		decay = core.NewDecayTable(cfg.Lambda)
 	}
 	d := &Detector{
-		cfg:      cfg,
-		grid:     grid,
-		tmpl:     tmpl,
-		decay:    decay,
-		bcs:      core.NewBCSTable(cfg.Dims),
-		bscratch: make([]uint8, cfg.Dims),
+		cfg:   cfg,
+		grid:  grid,
+		tmpl:  tmpl,
+		decay: decay,
+		bcs:   core.NewBCSTable(cfg.Dims),
 	}
-	if cfg.Scoring {
-		d.scoreScratch = make([]float64, 1)
-		if cfg.TopK > 0 {
-			d.topk = newTopK(cfg.TopK, cfg.Lambda)
-		}
+	if cfg.TopK > 0 {
+		d.topk = newTopK(cfg.TopK, cfg.Lambda)
 	}
 	if cfg.AutoThreshold.Risk > 0 {
 		d.auto = newAutoState(cfg.AutoThreshold, cfg.EpochTicks)
@@ -457,16 +432,17 @@ func (d *Detector) Template() *sst.Template { return d.tmpl }
 func (d *Detector) Tick() uint64 { return d.tick }
 
 // Process ingests one d-dimensional point and reports whether any SST
-// subspace places it in an outlying cell. For points that land in
-// already-populated cells it performs zero heap allocations; the
-// amortized exception is the epoch sweep, which runs inline every
-// Config.EpochTicks points. The point is discretized exactly once —
-// the width-1 case of the batch discretization plane — and the same
-// interval row feeds the base-cell table and every shard.
+// subspace places it in an outlying cell. It is a one-point ProcessBatch
+// — the same shard pass, discretization plane and verdict evaluator —
+// so its verdicts are the batch path's by construction. For points that
+// land in already-populated cells it performs zero heap allocations;
+// the amortized exception is the epoch sweep every Config.EpochTicks
+// points.
 //
 // Input contract: out-of-range finite coordinates clamp to edge
-// cells; a NaN or ±Inf coordinate panics with ErrNonFinite before any
-// state is touched (ProcessErr returns it as an error instead).
+// cells; a point whose length is not Dims, or that carries a NaN or
+// ±Inf coordinate, panics with ErrBatchLength or ErrNonFinite before
+// any state is touched (ProcessErr returns them as errors instead).
 func (d *Detector) Process(point []float64) bool {
 	out, err := d.ProcessErr(point)
 	if err != nil {
@@ -476,44 +452,21 @@ func (d *Detector) Process(point []float64) bool {
 }
 
 // ProcessErr is Process with validation instead of panics: a closed
-// detector or a point carrying a non-finite coordinate returns a
-// typed error (ErrClosed, ErrNonFinite) before any state is touched.
+// detector, a point whose length is not Dims or a point carrying a
+// non-finite coordinate returns a typed error (ErrClosed,
+// ErrBatchLength, ErrNonFinite) before any state is touched. The
+// length check is exact — a batch-shaped slice of several points is
+// rejected, not ingested.
 func (d *Detector) ProcessErr(point []float64) (bool, error) {
 	if d.closed {
 		return false, ErrClosed
 	}
-	if err := checkFinite(point, d.cfg.Dims); err != nil {
-		return false, err
+	if len(point) != d.cfg.Dims {
+		return false, fmt.Errorf("%w: point has %d values, want %d", ErrBatchLength, len(point), d.cfg.Dims)
 	}
-	return d.process(point), nil
-}
-
-func (d *Detector) process(point []float64) bool {
-	d.tick++
-	t := d.tick
-	d.grid.Intervals(point, d.bscratch)
-	d.bcs.Touch(d.decay, t, d.bscratch, point)
-	if d.cfg.Scoring {
-		d.attr.reset()
-	}
-	out := false
-	for _, sh := range d.shards {
-		if sh.processPoint(point, d.bscratch, t) {
-			out = true
-		}
-	}
-	if d.cfg.Scoring {
-		d.mergeScores(1, t-1, 0, d.scoreScratch[:1])
-	}
-	if d.auto != nil {
-		var f uint64
-		if out {
-			f = 1
-		}
-		d.auto.countFlags(1, f)
-	}
-	d.maybeSweep()
-	return out
+	var out [1]bool
+	_, err := d.ProcessBatchErr(point, out[:])
+	return out[0], err
 }
 
 // checkFinite rejects NaN and ±Inf coordinates; v-v is 0 for every

@@ -1,10 +1,25 @@
 package stream
 
 import (
+	"math/rand"
 	"testing"
 
 	"spot/internal/bench"
 )
+
+// smallBatchPlan cuts n points into random batch sizes under
+// coalesceMinBatch, so every touch of a run fed by it takes the fused
+// TouchCols path instead of the coalesced run fold.
+func smallBatchPlan(n int, seed int64) []int {
+	rng := rand.New(rand.NewSource(seed))
+	var plan []int
+	for rem := n; rem > 0; {
+		b := min(1+rng.Intn(coalesceMinBatch-1), rem)
+		plan = append(plan, b)
+		rem -= b
+	}
+	return plan
+}
 
 // TestDetectorFindsPlantedOutliers streams Gaussian clusters with
 // planted projected outliers through the detector and checks that,
@@ -97,18 +112,17 @@ func TestShardInvariance(t *testing.T) {
 }
 
 // TestBatchMatchesPointwise checks ProcessBatch produces exactly the
-// verdicts of point-by-point Process on the same stream — with batch
-// cell coalescing on (the default) and with the Config.NoCoalesce
-// escape hatch forcing the fused per-point path, pinning the three-way
-// equivalence the coalesced fold argues for.
+// verdicts of point-by-point Process on the same stream — in 256-point
+// batches, which take the coalesced run fold, and in batches under
+// coalesceMinBatch, which take the fused per-point path, pinning the
+// three-way equivalence the coalesced fold argues for.
 func TestBatchMatchesPointwise(t *testing.T) {
 	const d, n, batch = 8, 2048, 256
-	mk := func(noCoalesce bool) *Detector {
+	mk := func() *Detector {
 		cfg := DefaultConfig(d)
 		cfg.MaxSubspaceDim = 2
 		cfg.Shards = 4
 		cfg.Warmup = 100
-		cfg.NoCoalesce = noCoalesce
 		det, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -120,33 +134,43 @@ func TestBatchMatchesPointwise(t *testing.T) {
 	labels := make([]bool, n)
 	gen.Fill(flat, labels, n)
 
-	pointwise := mk(false)
+	pointwise := mk()
 	defer pointwise.Close()
 	want := make([]bool, n)
 	for i := 0; i < n; i++ {
 		want[i] = pointwise.Process(flat[i*d : (i+1)*d])
 	}
 
-	for _, noCoalesce := range []bool{false, true} {
-		batched := mk(noCoalesce)
+	var fixed []int
+	for off := 0; off < n; off += batch {
+		fixed = append(fixed, batch)
+	}
+	for _, leg := range []struct {
+		name  string
+		plan  []int
+		fused bool
+	}{{"coalesced", fixed, false}, {"fused", smallBatchPlan(n, 5), true}} {
+		batched := mk()
 		defer batched.Close()
 		got := make([]bool, n)
-		for off := 0; off < n; off += batch {
-			batched.ProcessBatch(flat[off*d:(off+batch)*d], got[off:off+batch])
+		off := 0
+		for _, b := range leg.plan {
+			batched.ProcessBatch(flat[off*d:(off+b)*d], got[off:off+b])
+			off += b
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("verdict for point %d (NoCoalesce=%v): batch=%v pointwise=%v", i, noCoalesce, got[i], want[i])
+				t.Fatalf("verdict for point %d (%s): batch=%v pointwise=%v", i, leg.name, got[i], want[i])
 			}
 		}
 		if pointwise.Tick() != batched.Tick() {
-			t.Fatalf("tick mismatch (NoCoalesce=%v): %d vs %d", noCoalesce, pointwise.Tick(), batched.Tick())
+			t.Fatalf("tick mismatch (%s): %d vs %d", leg.name, pointwise.Tick(), batched.Tick())
 		}
 		s := batched.Stats()
-		if noCoalesce && s.CoalesceGroupings != 0 {
-			t.Fatalf("NoCoalesce detector recorded %d grouping passes, want 0", s.CoalesceGroupings)
+		if leg.fused && s.CoalesceGroupings != 0 {
+			t.Fatalf("small-batch detector recorded %d grouping passes, want 0", s.CoalesceGroupings)
 		}
-		if !noCoalesce && s.CoalesceGroupings == 0 {
+		if !leg.fused && s.CoalesceGroupings == 0 {
 			t.Fatal("coalescing detector recorded no grouping passes on a clustered stream")
 		}
 	}

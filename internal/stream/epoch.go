@@ -72,14 +72,15 @@ func (d *Detector) maybeSweep() {
 
 // epochSweep performs one full sweep at the current tick: shard tables
 // first (eviction, per-subspace and per-arity accounting), then the
-// base-cell table, then the per-arity averages, then evolution. When
-// the shard workers are running (batch mode) and SerialSweep is off,
-// the per-shard table sweeps fan out to the workers — each shard's
-// table is exclusively its own and each subspace's perSub entry is
-// written by exactly one shard, so the parallel sweep produces
-// bit-identical statistics — while the dispatcher overlaps the
-// base-cell sweep; the epoch pause then shrinks from the sum of the
-// table scans to roughly the largest one.
+// base-cell table, then the per-arity averages, then evolution. Sweeps
+// only run between the sub-batches of an ingest call, after runBatch
+// has started the shard workers, so with more than one shard the
+// per-shard table sweeps fan out to the workers — each shard's table
+// is exclusively its own and each subspace's perSub entry is written
+// by exactly one shard, so the parallel sweep produces bit-identical
+// statistics — while the dispatcher overlaps the base-cell sweep; the
+// epoch pause then shrinks from the sum of the table scans to roughly
+// the largest one.
 func (d *Detector) epochSweep() {
 	start := time.Now()
 	tick := d.tick
@@ -93,7 +94,7 @@ func (d *Detector) epochSweep() {
 			d.perSub[i] = sst.SubspaceStats{}
 		}
 	}
-	parallel := d.workersUp && !d.cfg.SerialSweep && len(d.shards) > 1
+	parallel := len(d.shards) > 1
 	if parallel {
 		for _, ch := range d.jobs {
 			ch <- job{sweep: true, t0: tick, eps: eps}
@@ -199,8 +200,8 @@ func (d *Detector) epochSweep() {
 	// Top-K epoch decay: entries whose faded score fell below the same
 	// eviction floor the summary tables use are dropped, so the
 	// worst-offenders window forgets at the stream's pace. Depends
-	// only on (tick, eps), so batch and pointwise heaps stay
-	// identical.
+	// only on (tick, eps), so the heap does not depend on how the
+	// stream was cut into batches.
 	if d.topk != nil {
 		d.topk.decayEvict(d.decay, tick, eps)
 	}
@@ -302,9 +303,9 @@ type Stats struct {
 	// CoalescedDistinct/CoalesceGroupings is the average distinct-cell
 	// count per (subspace, batch) and CoalescedPoints/CoalescedDistinct
 	// the duplication ratio — the factor by which coalescing cuts index
-	// probes on this workload. All zero in pointwise mode, with
-	// Config.NoCoalesce set, or when the adaptive gate routed every
-	// subspace to the fused path.
+	// probes on this workload. All zero when every (sub-)batch was under
+	// 64 points (pointwise ingest included) or the adaptive gate routed
+	// every subspace to the fused path.
 	CoalescedPoints   uint64
 	CoalescedDistinct uint64
 	CoalesceGroupings uint64

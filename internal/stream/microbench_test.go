@@ -8,15 +8,16 @@ import (
 
 // microbenchDetector builds a d=20 detector with populated tables and
 // sweeps pushed beyond the horizon, so the benchmarks and alloc gates
-// time the steady-state ingestion path alone. With scoring on, the
-// warm-up ingests run scored so the attribution buffers and score
-// scratch reach their watermarks too.
-func microbenchDetector(tb testing.TB, shards int, noCoalesce, scoring bool) (*Detector, []float64, []bool, []float64) {
-	const d, batch = 20, 512
+// time the steady-state ingestion path alone, and returns it with one
+// batch of the given size. Batches under coalesceMinBatch (64) points
+// take the fused per-point touch, larger ones the coalesced fold. With
+// scoring on, the warm-up ingests run scored so the attribution
+// buffers and score scratch reach their watermarks too.
+func microbenchDetector(tb testing.TB, shards, batch int, scoring bool) (*Detector, []float64, []bool, []float64) {
+	const d = 20
 	cfg := DefaultConfig(d)
 	cfg.Shards = shards
 	cfg.EpochTicks = 1 << 40 // no sweep inside the measured window
-	cfg.NoCoalesce = noCoalesce
 	cfg.Scoring = scoring
 	if scoring {
 		cfg.TopK = 16
@@ -45,10 +46,11 @@ func microbenchDetector(tb testing.TB, shards int, noCoalesce, scoring bool) (*D
 }
 
 // BenchmarkProcessPoint measures the pointwise hot path: one point
-// through every SST subspace, reported with allocations (steady state
-// must be zero — TestProcessZeroAllocs is the hard gate).
+// through every SST subspace as a one-point batch, reported with
+// allocations (steady state must be zero — TestProcessZeroAllocs is the
+// hard gate).
 func BenchmarkProcessPoint(b *testing.B) {
-	det, flat, _, _ := microbenchDetector(b, 1, false, false)
+	det, flat, _, _ := microbenchDetector(b, 1, 512, false)
 	defer det.Close()
 	d := 20
 	points := len(flat) / d
@@ -60,25 +62,24 @@ func BenchmarkProcessPoint(b *testing.B) {
 }
 
 // BenchmarkProcessBatch measures the batch hot path (subspace-major
-// tiling, discretization plane, word-wise verdict merge) at 1 and 4
-// shards with cell coalescing on (the default), plus the shards=1 grid
-// point with Config.NoCoalesce forcing the fused per-point path — the
-// coalescing win on a clustered stream is the ratio of the two — and a
-// scored shards=1 point isolating the ensemble-scoring overhead.
+// tiling, discretization plane, word-wise verdict merge) on 512-point
+// batches at 1 and 4 shards, which take the coalesced fold, plus
+// 32-point batches at shards=1, which take the fused per-point touch,
+// and a scored shards=1 point isolating the ensemble-scoring overhead.
 func BenchmarkProcessBatch(b *testing.B) {
 	for _, v := range []struct {
-		name       string
-		shards     int
-		noCoalesce bool
-		scoring    bool
+		name    string
+		shards  int
+		batch   int
+		scoring bool
 	}{
-		{"shards=1", 1, false, false},
-		{"shards=4", 4, false, false},
-		{"shards=1/nocoalesce", 1, true, false},
-		{"shards=1/scored", 1, false, true},
+		{"shards=1", 1, 512, false},
+		{"shards=4", 4, 512, false},
+		{"shards=1/nocoalesce", 1, 32, false},
+		{"shards=1/scored", 1, 512, true},
 	} {
 		b.Run(v.name, func(b *testing.B) {
-			det, flat, out, scores := microbenchDetector(b, v.shards, v.noCoalesce, v.scoring)
+			det, flat, out, scores := microbenchDetector(b, v.shards, v.batch, v.scoring)
 			defer det.Close()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -97,17 +98,18 @@ func BenchmarkProcessBatch(b *testing.B) {
 }
 
 // TestProcessBatchZeroAllocs pins the steady-state contract of the
-// batch path in both flavors: re-ingesting a batch whose cells all
+// batch path in both flavors — 512-point batches coalesce, 32-point
+// batches take the fused touch: re-ingesting a batch whose cells all
 // exist performs zero heap allocations — scratch planes, verdict
 // bitsets, the grouping scratch and table probes all reuse their
 // buffers. make microbench runs this gate alongside the benchmarks.
 func TestProcessBatchZeroAllocs(t *testing.T) {
 	for _, v := range []struct {
-		name       string
-		noCoalesce bool
-	}{{"coalesce", false}, {"nocoalesce", true}} {
+		name  string
+		batch int
+	}{{"coalesce", 512}, {"nocoalesce", 32}} {
 		t.Run(v.name, func(t *testing.T) {
-			det, flat, out, _ := microbenchDetector(t, 2, v.noCoalesce, false)
+			det, flat, out, _ := microbenchDetector(t, 2, v.batch, false)
 			defer det.Close()
 			allocs := testing.AllocsPerRun(20, func() {
 				det.ProcessBatch(flat, out)
@@ -125,7 +127,7 @@ func TestProcessBatchZeroAllocs(t *testing.T) {
 // ensemble scores, attribution merge-sort, top-K maintenance and the
 // Explain/TopK queries against it — allocates nothing.
 func TestProcessBatchScoredZeroAllocs(t *testing.T) {
-	det, flat, out, scores := microbenchDetector(t, 2, false, true)
+	det, flat, out, scores := microbenchDetector(t, 2, 512, true)
 	defer det.Close()
 	attrs := make([]Attribution, 0, 256)
 	offs := make([]Offender, 0, 16)
@@ -146,7 +148,7 @@ func TestProcessBatchScoredZeroAllocs(t *testing.T) {
 // TestProcessScoredZeroAllocs is the pointwise equivalent: scored
 // single-point ingestion stays allocation-free in steady state.
 func TestProcessScoredZeroAllocs(t *testing.T) {
-	det, flat, _, _ := microbenchDetector(t, 1, false, true)
+	det, flat, _, _ := microbenchDetector(t, 1, 512, true)
 	defer det.Close()
 	const d = 20
 	points := len(flat) / d

@@ -2,7 +2,9 @@ package stream
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -51,7 +53,9 @@ func TestNonFiniteRejected(t *testing.T) {
 // TestNonFiniteRejectBeforeMutate: a rejected point must leave no trace.
 // Tick and the summary tables stay untouched, and every later verdict is
 // identical to a detector that never saw the poison — the reject happens
-// before any state mutation, not after a partial one.
+// before any state mutation, not after a partial one. Besides NaN/±Inf,
+// the poison includes finite points of the wrong length, from empty to
+// 10·Dims; a 2·Dims slice must be rejected, not ingested as two points.
 func TestNonFiniteRejectBeforeMutate(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.EpochTicks = 128
@@ -77,6 +81,19 @@ func TestNonFiniteRejectBeforeMutate(t *testing.T) {
 	before := dirty.Stats()
 	if _, err := dirty.ProcessErr([]float64{0.1, math.NaN(), 0.3, 0.4}); !errors.Is(err, ErrNonFinite) {
 		t.Fatalf("poison point not rejected: %v", err)
+	}
+	for _, n := range []int{0, 1, cfg.Dims - 1, cfg.Dims + 1, 2 * cfg.Dims, 10 * cfg.Dims} {
+		pt := make([]float64, n)
+		for i := range pt {
+			pt[i] = 0.5
+		}
+		_, err := dirty.ProcessErr(pt)
+		if !errors.Is(err, ErrBatchLength) {
+			t.Fatalf("%d-value point not rejected: %v", n, err)
+		}
+		if want := fmt.Sprintf("point has %d values, want %d", n, cfg.Dims); !strings.Contains(err.Error(), want) {
+			t.Fatalf("%d-value point: error %q does not say %q", n, err, want)
+		}
 	}
 	out := make([]bool, 2)
 	if _, err := dirty.ProcessBatchErr([]float64{

@@ -21,11 +21,11 @@ func TestShardInvarianceProperty(t *testing.T) {
 	meta := rand.New(rand.NewSource(42))
 	const trials = 6
 	for trial := 0; trial < trials; trial++ {
-		d := 5 + meta.Intn(5)                 // 5..9 dimensions
-		epoch := uint64(64 + meta.Intn(400))  // never aligned with batch splits
-		n := 1200 + meta.Intn(800)            // points per trial
-		supervised := trial%2 == 0            // MOGA active on half the trials
-		mode := trial % 3                     // rotate outlier scenarios
+		d := 5 + meta.Intn(5)                // 5..9 dimensions
+		epoch := uint64(64 + meta.Intn(400)) // never aligned with batch splits
+		n := 1200 + meta.Intn(800)           // points per trial
+		supervised := trial%2 == 0           // MOGA active on half the trials
+		mode := trial % 3                    // rotate outlier scenarios
 		genSeed := meta.Int63()
 		evSeed := meta.Int63()
 		maxDim := 1 + meta.Intn(2)
@@ -66,6 +66,9 @@ func TestShardInvarianceProperty(t *testing.T) {
 			batches = append(batches, b)
 			rem -= b
 		}
+		// The same stream in batches under 64 points: every touch takes
+		// the fused per-point path instead of the coalesced run fold.
+		small := smallBatchPlan(n, genSeed)
 
 		mkEvolver := func() sst.Evolver {
 			ts, err := sst.NewTopSparse(sst.TopSparseConfig{
@@ -87,7 +90,7 @@ func TestShardInvarianceProperty(t *testing.T) {
 			return sst.Multi{ts, mg}
 		}
 
-		runShards := func(shards int, noCoalesce, scoring bool) ([]bool, []float64, Stats, []uint16) {
+		runShards := func(shards int, plan []int, scoring bool) ([]bool, []float64, Stats, []uint16) {
 			cfg := DefaultConfig(d)
 			cfg.MaxSubspaceDim = maxDim
 			cfg.Shards = shards
@@ -96,7 +99,6 @@ func TestShardInvarianceProperty(t *testing.T) {
 			cfg.EpochTicks = epoch
 			cfg.EvictEpsilon = 1e-4
 			cfg.RDPopulatedThreshold = 0.2
-			cfg.NoCoalesce = noCoalesce
 			cfg.Scoring = scoring
 			if scoring {
 				cfg.TopK = 8
@@ -113,7 +115,7 @@ func TestShardInvarianceProperty(t *testing.T) {
 				scores = make([]float64, n)
 			}
 			off := 0
-			for _, b := range batches {
+			for _, b := range plan {
 				if scoring {
 					det.ProcessBatchScored(flat[off*d:(off+b)*d], verdicts[off:off+b], scores[off:off+b])
 				} else {
@@ -137,17 +139,21 @@ func TestShardInvarianceProperty(t *testing.T) {
 			return verdicts, scores, det.Stats(), evolved
 		}
 
-		baseV, _, baseS, baseE := runShards(1, false, false)
-		// Shard counts with coalescing on, plus the NoCoalesce escape
-		// hatch at two shard counts: the coalesced run-fold and the
-		// fused per-point path must agree bit for bit, as must every
-		// shard partitioning of either.
+		baseV, _, baseS, baseE := runShards(1, batches, false)
+		// Shard counts on the random plan, plus the small-batch plan at
+		// two shard counts: the coalesced run-fold and the fused
+		// per-point path must agree bit for bit, as must every shard
+		// partitioning of either.
 		for _, v := range []struct {
-			shards     int
-			noCoalesce bool
+			shards int
+			small  bool
 		}{{4, false}, {8, false}, {1, true}, {4, true}} {
-			variant := fmt.Sprintf("%d shards (NoCoalesce=%v)", v.shards, v.noCoalesce)
-			vv, _, s, e := runShards(v.shards, v.noCoalesce, false)
+			variant := fmt.Sprintf("%d shards (small batches=%v)", v.shards, v.small)
+			plan := batches
+			if v.small {
+				plan = small
+			}
+			vv, _, s, e := runShards(v.shards, plan, false)
 			for i := range baseV {
 				if vv[i] != baseV[i] {
 					t.Fatalf("%s: verdict for point %d differs at %s", scenario, i, variant)
@@ -167,11 +173,11 @@ func TestShardInvarianceProperty(t *testing.T) {
 		}
 
 		// Scoring legs. Enabling scoring must not move a single verdict
-		// bit, scores must be bit-identical across coalesce modes at a
-		// fixed shard count, and across shard counts they may differ
+		// bit, scores must be bit-identical across the two batch plans at
+		// a fixed shard count, and across shard counts they may differ
 		// only by the documented popFloor summation-order ULPs — bounded
 		// here at 1e-9.
-		scoredV, scoredScores, _, _ := runShards(1, false, true)
+		scoredV, scoredScores, _, _ := runShards(1, batches, true)
 		for i := range baseV {
 			if scoredV[i] != baseV[i] {
 				t.Fatalf("%s: scoring changed the verdict for point %d", scenario, i)
@@ -180,15 +186,15 @@ func TestShardInvarianceProperty(t *testing.T) {
 				t.Fatalf("%s: point %d verdict=%v but score=%g", scenario, i, baseV[i], scoredScores[i])
 			}
 		}
-		_, ncScores, _, _ := runShards(1, true, true)
+		_, smallScores, _, _ := runShards(1, small, true)
 		for i := range scoredScores {
-			if ncScores[i] != scoredScores[i] {
-				t.Fatalf("%s: score for point %d differs between coalesce modes: %g vs %g",
-					scenario, i, ncScores[i], scoredScores[i])
+			if smallScores[i] != scoredScores[i] {
+				t.Fatalf("%s: score for point %d differs between batch plans: %g vs %g",
+					scenario, i, smallScores[i], scoredScores[i])
 			}
 		}
 		for _, shards := range []int{4, 8} {
-			shV, shScores, _, _ := runShards(shards, false, true)
+			shV, shScores, _, _ := runShards(shards, batches, true)
 			for i := range scoredScores {
 				if shV[i] != baseV[i] {
 					t.Fatalf("%s: scored verdict for point %d differs at %d shards", scenario, i, shards)

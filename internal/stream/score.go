@@ -26,10 +26,12 @@ import (
 // subspace order makes the float accumulation — and therefore the
 // score bits — independent of the shard layout.
 //
-// Scoring is additive: the fired-measure semantics mirror the verdict
-// gates exactly (a point is flagged iff it has ≥ 1 attribution entry),
-// so verdict bits are identical with scoring on or off, and the
-// non-scoring hot path is untouched.
+// Scoring is additive: scored and unscored detectors run the same
+// verdict evaluator (shard.evaluate), which returns the fired measures
+// and their severity; a point is flagged iff some subspace fired, and
+// scoring only decides whether the (subspace, cell, measures,
+// severity) entry is kept. Verdict bits are therefore identical with
+// scoring on or off.
 
 // Attribution is one subspace's evidence against a flagged point:
 // where it looked anomalous and why. Valid until the next ingest call.

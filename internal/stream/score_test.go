@@ -3,6 +3,7 @@ package stream
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"spot/internal/bench"
@@ -273,9 +274,40 @@ func (o *scoreOracle) sweep(tick uint64) {
 // detector and the brute-force oracle side by side, requiring bitwise
 // agreement on every verdict, score, attribution entry (subspace,
 // cell, fired measures, severity) and the final top-K — with epoch
-// sweeps keeping the popRD floor live so all four measures fire.
+// sweeps keeping the popRD floor live so all four measures fire. The
+// pointwise leg ingests one ProcessScored call per point; the batched
+// leg feeds ProcessBatchScored random batch sizes 1–300, so epoch
+// splits, sub-64 batches (fused touch) and coalesced batches all
+// occur. Together they make the oracle the reference for both touch
+// paths.
 func TestAttributionOracle(t *testing.T) {
-	const d, n = 6, 2000
+	t.Run("pointwise", func(t *testing.T) {
+		plan := make([]int, 2000)
+		for i := range plan {
+			plan[i] = 1
+		}
+		checkAttributionOracle(t, plan, true)
+	})
+	t.Run("batched", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(13))
+		var plan []int
+		for rem := 4000; rem > 0; {
+			b := min(1+rng.Intn(300), rem)
+			plan = append(plan, b)
+			rem -= b
+		}
+		s := checkAttributionOracle(t, plan, false)
+		t.Logf("%d batches, %d grouping passes", len(plan), s.CoalesceGroupings)
+		if s.CoalesceGroupings == 0 {
+			t.Fatal("no batch took the coalesced fold; the leg exercised one touch path only")
+		}
+	})
+}
+
+// checkAttributionOracle runs one TestAttributionOracle leg over the
+// batch plan and returns the detector's final Stats.
+func checkAttributionOracle(t *testing.T, plan []int, pointwise bool) Stats {
+	const d = 6
 	cfg := DefaultConfig(d)
 	cfg.MaxSubspaceDim = 2
 	cfg.Lambda = 0.01
@@ -298,42 +330,59 @@ func TestAttributionOracle(t *testing.T) {
 	o := newScoreOracle(t, det, cfg)
 	tk := &topkOracle{lambda: cfg.Lambda}
 
-	gcfg := bench.DefaultGenConfig(d)
-	gen := bench.NewGenerator(gcfg)
-	buf := make([]float64, d)
+	n := 0
+	maxB := 0
+	for _, b := range plan {
+		n += b
+		maxB = max(maxB, b)
+	}
+	flat := make([]float64, n*d)
+	bench.NewGenerator(bench.DefaultGenConfig(d)).Fill(flat, make([]bool, n), n)
+	out := make([]bool, maxB)
+	scores := make([]float64, maxB)
 	var explain []Attribution
 	var measuresSeen core.Measure
 	flagged := 0
-	for i := 0; i < n; i++ {
-		gen.Next(buf)
-		gotFlag, gotScore := det.ProcessScored(buf)
-		wantFlag, wantScore, wantAttrs := o.process(buf)
-		if gotFlag != wantFlag {
-			t.Fatalf("point %d: verdict %v, oracle %v", i, gotFlag, wantFlag)
+	off := 0
+	for _, b := range plan {
+		batch := flat[off*d : (off+b)*d]
+		if pointwise {
+			out[0], scores[0] = det.ProcessScored(batch)
+		} else {
+			det.ProcessBatchScored(batch, out[:b], scores[:b])
 		}
-		if gotScore != wantScore {
-			t.Fatalf("point %d: score %g, oracle %g", i, gotScore, wantScore)
-		}
-		explain = det.Explain(0, explain[:0])
-		if len(explain) != len(wantAttrs) {
-			t.Fatalf("point %d: %d attribution entries, oracle %d\n got %+v\nwant %+v",
-				i, len(explain), len(wantAttrs), explain, wantAttrs)
-		}
-		for j := range explain {
-			if explain[j] != wantAttrs[j] {
-				t.Fatalf("point %d entry %d: %+v, oracle %+v", i, j, explain[j], wantAttrs[j])
+		for j := 0; j < b; j++ {
+			i := off + j
+			gotFlag, gotScore := out[j], scores[j]
+			wantFlag, wantScore, wantAttrs := o.process(batch[j*d : (j+1)*d])
+			if gotFlag != wantFlag {
+				t.Fatalf("point %d: verdict %v, oracle %v", i, gotFlag, wantFlag)
 			}
-			measuresSeen |= explain[j].Measures
-		}
-		if gotFlag {
-			flagged++
-			if !(gotScore > 0 && gotScore <= 1) {
-				t.Fatalf("point %d: flagged with score %g outside (0,1]", i, gotScore)
+			if gotScore != wantScore {
+				t.Fatalf("point %d: score %g, oracle %g", i, gotScore, wantScore)
 			}
-			tk.add(o.tick, wantScore)
-		} else if gotScore != 0 {
-			t.Fatalf("point %d: not flagged but score %g", i, gotScore)
+			explain = det.Explain(j, explain[:0])
+			if len(explain) != len(wantAttrs) {
+				t.Fatalf("point %d: %d attribution entries, oracle %d\n got %+v\nwant %+v",
+					i, len(explain), len(wantAttrs), explain, wantAttrs)
+			}
+			for k := range explain {
+				if explain[k] != wantAttrs[k] {
+					t.Fatalf("point %d entry %d: %+v, oracle %+v", i, k, explain[k], wantAttrs[k])
+				}
+				measuresSeen |= explain[k].Measures
+			}
+			if gotFlag {
+				flagged++
+				if !(gotScore > 0 && gotScore <= 1) {
+					t.Fatalf("point %d: flagged with score %g outside (0,1]", i, gotScore)
+				}
+				tk.add(o.tick, wantScore)
+			} else if gotScore != 0 {
+				t.Fatalf("point %d: not flagged but score %g", i, gotScore)
+			}
 		}
+		off += b
 	}
 	if flagged == 0 {
 		t.Fatal("stream produced no flagged points; oracle exercised nothing")
@@ -354,6 +403,7 @@ func TestAttributionOracle(t *testing.T) {
 			t.Fatalf("TopK entry %d: %+v, oracle %+v", i, got[i], want[i])
 		}
 	}
+	return det.Stats()
 }
 
 // TestScoringAdditivePointwise runs the same stream through a scoring

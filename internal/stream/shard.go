@@ -18,7 +18,7 @@ const repDecayStride = 32
 
 // subspaceState is the per-subspace state a shard owns exclusively,
 // laid out so one sequential walk over the states slice brings
-// everything processPoint needs into cache: the subspace's member
+// everything processBatch needs into cache: the subspace's member
 // dimensions and packed-key base (copied out of the shared template at
 // addSubspace time, so the hot loop never chases the template), the
 // arity-derived constants, the decayed subspace totals (density plus
@@ -69,7 +69,7 @@ type subspaceState struct {
 	// when a grouping pass finds almost no duplication (distinct cells
 	// above the coalesceDupNum/coalesceDupDen fraction of the batch),
 	// the next skipCoalesce batches of this subspace take the fused
-	// pointwise TouchCols instead, then one batch re-groups to
+	// per-point TouchCols instead, then one batch re-groups to
 	// re-measure. Duplication is a property of the
 	// subspace's projection (low-arity subspaces have few cells, high-
 	// arity ones many), so the gate is per subspace; it depends only on
@@ -81,8 +81,8 @@ type subspaceState struct {
 // shard owns an exclusive partition of the SST: the cell table, totals
 // and representatives of its subspaces. Only one goroutine ever touches
 // a shard's state while points flow, so the hot path is lock-free.
-// Epoch sweeps run either inline on the dispatcher goroutine or — in
-// batch mode — fanned out to the shard workers themselves (each shard's
+// Epoch sweeps run on the shard workers themselves when there is more
+// than one shard, inline on the dispatcher otherwise (each shard's
 // table is exclusive either way); evolved-subspace add/remove always
 // runs on the dispatcher with workers idle.
 type shard struct {
@@ -93,20 +93,8 @@ type shard struct {
 	states []subspaceState
 	table  *core.PCSTable // cell key -> PCS, sweepable
 
-	// Per-point pass scratch, one entry per owned subspace: cell keys,
-	// projected magnitudes, resolved dense slots and post-touch cell
-	// densities. Splitting the point's update into array passes makes
-	// the random table accesses of neighboring subspaces independent,
-	// so the CPU overlaps their cache misses instead of serializing
-	// each subspace's full chain.
-	keyScratch  []uint64
-	magScratch  []float64
-	slotScratch []uint32
-	dcScratch   []float64
-
-	// Batch-mode scratch, one entry per point of the current batch
-	// (the subspace-major tiling of processBatch transposes the pass
-	// structure: the arrays then span the batch's points for one
+	// Batch scratch, one entry per point of the current batch (the
+	// subspace-major tiling of processBatch reuses the arrays for one
 	// subspace at a time), plus the column headers handed to
 	// core.TouchCols.
 	bKeys []uint64
@@ -132,7 +120,7 @@ type shard struct {
 	repKeys []uint64
 	repDcs  []float64
 
-	verdict []uint64 // per-batch verdict bitset (batch mode only)
+	verdict []uint64 // per-batch verdict bitset
 
 	// grouper is the batch-coalescing scratch, shared across the
 	// shard's subspaces: one subspace groups, folds and finishes its
@@ -157,7 +145,7 @@ type shard struct {
 	autoSamp [autoMeasures][core.MaxSubspaceDims + 1][]float64
 
 	// attr collects this shard's attribution entries for the current
-	// point/batch when Config.Scoring is set: one entry per flagged
+	// batch when Config.Scoring is set: one entry per flagged
 	// (subspace, cell) pair, point indices relative to the chunk. The
 	// shard writes it lock-free during its verdict pass; the
 	// dispatcher reads it after the batch joins, merges across shards
@@ -170,11 +158,11 @@ type shard struct {
 // cells — i.e. almost every point in its own cell, so
 // one-probe-per-cell saves nothing over one-probe-per-point — sends
 // the subspace to the fused TouchCols for coalesceBackoff batches
-// before re-measuring. Sub-batches under coalesceMinBatch points (an
-// epoch split can cut a batch to a handful) take the fused path
-// outright, without touching the gate: their distinct ratio is high by
-// construction and grouping them would pay the scratch-index clear for
-// nothing.
+// before re-measuring. (Sub-)batches under coalesceMinBatch points — a
+// pointwise call, a small caller batch, or an epoch split cutting a
+// batch to a handful — take the fused path outright, without touching
+// the gate: their distinct ratio is high by construction and grouping
+// them would pay the scratch-index clear for nothing.
 const (
 	coalesceBackoff  = 31
 	coalesceMinBatch = 64
@@ -231,10 +219,6 @@ func (s *shard) addSubspace(id uint32) {
 		st.invMaxDist = 1 / float64((phi-1)*size)
 	}
 	s.states = append(s.states, st)
-	s.keyScratch = append(s.keyScratch, 0)
-	s.magScratch = append(s.magScratch, 0)
-	s.slotScratch = append(s.slotScratch, 0)
-	s.dcScratch = append(s.dcScratch, 0)
 	for i := 0; i < s.det.cfg.K; i++ {
 		s.repKeys = append(s.repKeys, repEmpty)
 		s.repDcs = append(s.repDcs, 0)
@@ -261,212 +245,24 @@ func (s *shard) removeSubspace(id uint32) {
 		s.repDcs = s.repDcs[:last*k]
 		break
 	}
-	s.keyScratch = s.keyScratch[:len(s.states)]
-	s.magScratch = s.magScratch[:len(s.states)]
-	s.slotScratch = s.slotScratch[:len(s.states)]
-	s.dcScratch = s.dcScratch[:len(s.states)]
 	s.table.EvictIf(func(key uint64) bool {
 		return uint32(key>>core.SubspaceShift) == id
 	})
 }
 
-// processPoint folds one point observed at tick into every subspace the
-// shard owns and reports whether any of them finds it outlying. coords
-// holds the point's per-dimension interval indices, computed once per
-// point by the dispatcher's discretization plane. Zero heap allocations
-// when the point's cells already exist.
-//
-// The update is staged into array passes rather than one loop doing
-// everything per subspace: the table accesses of different subspaces
-// are random but mutually independent, so separating "resolve all
-// slots" from "touch all cells" lets the out-of-order core keep many
-// index/cell cache misses in flight at once, where the fused loop
-// serialized each subspace's probe → summary → verdict chain. The
-// per-subspace results are identical either way — subspaces share no
-// state within a point.
-func (s *shard) processPoint(point []float64, coords []uint8, tick uint64) bool {
-	decay := s.det.decay
-	cfg := &s.det.cfg
-	tbl := s.table
-	n := len(s.states)
-	keys := s.keyScratch[:n]
-	mags := s.magScratch[:n]
-	slots := s.slotScratch[:n]
-	dcs := s.dcScratch[:n]
-	// Pass 1: assemble every subspace's packed cell key and projected
-	// magnitude, and fold the subspace totals (the body of PCS.Touch,
-	// inlined: a call per subspace would cost more than the fold) — a
-	// sequential walk over the shard-local flattened layout, no random
-	// access. Arities 1–3 (the fixed group's bulk) get unrolled key
-	// assembly with constant shifts; the template enumerates by
-	// increasing arity and shards deal round-robin, so the switch runs
-	// in long predictable runs.
-	for li := range s.states {
-		st := &s.states[li]
-		key := st.keyBase
-		var m float64
-		switch st.size {
-		case 1:
-			d0 := st.dims[0]
-			key |= uint64(coords[d0])
-			m = point[d0]
-		case 2:
-			d0, d1 := st.dims[0], st.dims[1]
-			key |= uint64(coords[d0]) | uint64(coords[d1])<<core.CoordBits
-			m = point[d0] + point[d1]
-		case 3:
-			d0, d1, d2 := st.dims[0], st.dims[1], st.dims[2]
-			key |= uint64(coords[d0]) | uint64(coords[d1])<<core.CoordBits | uint64(coords[d2])<<(2*core.CoordBits)
-			m = point[d0] + point[d1] + point[d2]
-		default:
-			for j, dim := range st.dims[:st.size] {
-				key |= uint64(coords[dim]) << (uint(j) * core.CoordBits)
-				m += point[dim]
-			}
-		}
-		keys[li] = key
-		mags[li] = m
-		tt := &st.total
-		if tt.Last != tick {
-			f := decay.At(tick - tt.Last)
-			tt.Dc *= f
-			tt.S *= f
-			tt.Q *= f
-			tt.Last = tick
-		}
-		tt.Dc++
-		tt.S += m
-		tt.Q += m * m
-	}
-	// Pass 2: resolve every key to its cell and fold the point in, one
-	// call-free loop inside the table so the independent index and
-	// cell-line misses of neighboring subspaces overlap; the post-touch
-	// densities come back in the dense dcs array. Slots stay valid
-	// across the inserts (appends never move existing cells).
-	tbl.TouchBatch(decay, tick, keys, mags, slots, dcs)
-	// Pass 3: representatives and verdicts — a purely sequential walk
-	// over states, reps and dcs; the only random access left is the
-	// rare outlyingSlow call. The cheap all-measures-pass verdict exit
-	// is decided inline — one multiply and three compares, no division
-	// — and only cells that flag on RD, sit under the populated floor,
-	// or fall below the uniform expectation (rd < 1, the gate for the
-	// costlier IRSD/IkRD measures) take the outlyingSlow call.
-	out := false
-	warmup := cfg.Warmup
-	k := cfg.K
-	scoring := cfg.Scoring
-	if scoring {
-		s.attr.reset()
-	}
-	// Auto-thresholding samples the per-point measure values on a
-	// deterministic tick stride (see autoState.sampleSlot).
-	sampleSlot := -1
-	if a := s.det.auto; a != nil {
-		sampleSlot = a.sampleSlot(tick, cfg.EpochTicks)
-	}
-	rb := 0
-	for li := range s.states {
-		st := &s.states[li]
-		key := keys[li]
-		dc := dcs[li]
-		repKey := s.repKeys[rb : rb+k]
-		repDc := s.repDcs[rb : rb+k]
-		rb += k
-		// Fade the representative densities to the current tick in
-		// strides (decay factors compose, so one batched multiply per
-		// stride is exact up to rounding).
-		if dt := tick - st.repsLast; dt >= repDecayStride {
-			f := decay.At(dt)
-			for i := range repDc {
-				repDc[i] *= f
-			}
-			st.repMin *= f
-			st.repsLast = tick
-		}
-		// Representative update behind the cached-minimum gate: a
-		// touch with dc ≤ repMin can only be the minimum slot
-		// refreshing itself with its unchanged density, a no-op. Past
-		// the gate, refresh the slot this cell already holds (found
-		// branchlessly for the default K, see processBatch) or
-		// displace the sparsest representative, recomputing the cached
-		// minimum when it was the one written.
-		if dc > st.repMin {
-			found := -1
-			if k == 3 {
-				if repKey[2] == key {
-					found = 2
-				}
-				if repKey[1] == key {
-					found = 1
-				}
-				if repKey[0] == key {
-					found = 0
-				}
-			} else {
-				for i := range repKey {
-					if repKey[i] == key {
-						found = i
-						break
-					}
-				}
-			}
-			if found < 0 {
-				found = int(st.repMinI)
-				repKey[found] = key
-			}
-			repDc[found] = dc
-			if found == int(st.repMinI) {
-				st.repMin = repDc[0]
-				st.repMinI = 0
-				for i := 1; i < k; i++ {
-					if repDc[i] < st.repMin {
-						st.repMin = repDc[i]
-						st.repMinI = int32(i)
-					}
-				}
-			}
-		}
-		tot := st.total.Dc
-		if tot < warmup {
-			continue
-		}
-		// rd := dc * phiPow / tot, compared multiplicatively: the flag
-		// test rd < RDThreshold and the IRSD/IkRD gate rd < 1 become
-		// one multiply each instead of a division per subspace.
-		lhs := dc * st.phiPow
-		if sampleSlot >= 0 {
-			s.foldAutoSample(st, li, key, lhs, dc, tbl.CellAt(slots[li]).S, tot, st.total.S, st.total.Q, sampleSlot)
-		}
-		if scoring {
-			fired, sev := s.scoredVerdict(st, li, key, lhs, dc, tbl.CellAt(slots[li]).S, tot, st.total.S, st.total.Q, st.rdThr)
-			if fired != 0 {
-				out = true
-				s.attr.add(0, s.subs[li], key, fired, sev)
-			}
-			continue
-		}
-		if lhs < st.rdThr*tot || dc < st.popFloor {
-			out = true
-		} else if lhs < tot && s.outlyingSlow(st, li, key, tbl.CellAt(slots[li]).Mean(), tot, st.total.S, st.total.Q) {
-			out = true
-		}
-	}
-	return out
-}
-
-// processBatch runs a whole batch through the shard, recording verdicts
-// in the shard-local bitset (OR-merged word-wise by the dispatcher).
+// processBatch is the shard's only ingest pass: it folds a batch of n
+// points (n == 1 for the pointwise API) into every owned subspace and
+// records verdicts in the shard-local bitset (OR-merged word-wise by
+// the dispatcher).
 //
 // The batch is processed subspace-major: for each owned subspace, all n
-// points run through the same three passes processPoint uses, before
-// moving to the next subspace. One subspace's points revisit a small
-// recurring cell set, so its index buckets, cell lines and
-// representative set stay L1-resident across the whole batch — where
-// the point-major order re-streamed the entire cell table (hundreds of
-// KiB) once per point. Every per-(subspace, point) computation is the
-// same as in processPoint and runs in the same per-point tick order
-// within a subspace, so verdicts are identical; only the interleaving
-// across subspaces — which shares no state — differs.
+// points are touched and evaluated before moving to the next subspace.
+// One subspace's points revisit a small recurring cell set, so its
+// index buckets, cell lines and representative set stay L1-resident
+// across the whole batch — where a point-major order would re-stream
+// the entire cell table (hundreds of KiB) once per point. Within a
+// subspace every point runs in tick order, and subspaces share no
+// state, so verdicts do not depend on how a stream is cut into batches.
 //
 // Pass A+B come in two equivalent flavors. The default coalesced path
 // assembles the subspace's keys, groups the batch by cell
@@ -475,8 +271,8 @@ func (s *shard) processPoint(point []float64, coords []uint8, tick uint64) bool 
 // (core.TouchRuns) — on a dense stream most of a batch lands in a few
 // cells per subspace, so the per-point index probe and cell-line
 // traffic collapse into one per cell. The fused TouchCols
-// (assemble+probe+fold per point) remains as the fallback, taken when
-// Config.NoCoalesce is set or the subspace's adaptive gate saw no
+// (assemble+probe+fold per point) takes batches under
+// coalesceMinBatch points and the subspaces whose adaptive gate saw no
 // duplication worth grouping. Both fold the identical arithmetic in
 // the identical per-cell tick order, so summaries — and therefore
 // verdicts — are bit-identical either way.
@@ -511,11 +307,9 @@ func (s *shard) processBatch(jb job) {
 	}
 	f1 := decay.At(1)
 	flatT, planeT := jb.flatT, jb.planeT
-	noCoalesce := cfg.NoCoalesce
 	// Auto-thresholding samples the per-point measure values on a
 	// deterministic tick stride; batches never cross an epoch
-	// boundary, so the slot of tick t0+i+1 is epoch-relative exactly
-	// as in the pointwise path.
+	// boundary, so the slot of tick t0+i+1 depends on the tick alone.
 	auto := s.det.auto
 	rb := 0
 	for li := range s.states {
@@ -531,13 +325,12 @@ func (s *shard) processBatch(jb job) {
 			vv = append(vv, flatT[off:off+n])
 		}
 		// Pass A+B: coalesced (group by cell, one probe per distinct
-		// cell, run folds) unless the escape hatch, a tiny epoch-split
-		// sub-batch (nothing to amortize, and grouping would clear the
-		// steady-state-sized scratch index per subspace for it) or the
-		// adaptive gate routes this subspace to the fused per-point
-		// TouchCols.
-		if noCoalesce || n < coalesceMinBatch || st.skipCoalesce > 0 {
-			if !noCoalesce && n >= coalesceMinBatch {
+		// cell, run folds) unless a small batch (nothing to amortize,
+		// and grouping would clear the steady-state-sized scratch index
+		// per subspace for it) or the adaptive gate routes this subspace
+		// to the fused per-point TouchCols.
+		if n < coalesceMinBatch || st.skipCoalesce > 0 {
+			if n >= coalesceMinBatch {
 				st.skipCoalesce--
 			}
 			tbl.TouchCols(decay, jb.t0, st.keyBase, cc, vv, keys, mags, ss, dcs)
@@ -555,10 +348,10 @@ func (s *shard) processBatch(jb job) {
 		}
 		// Pass C: totals fold (the body of PCS.Touch, inlined), IkRD
 		// representative upkeep and verdicts, per point in tick order —
-		// the subspace totals trajectory each point's verdict compares
-		// against is exactly the pointwise one. The subspace's scalar
-		// state lives in locals across the loop (written back once) so
-		// the per-point work reads registers, not the state struct.
+		// each point's verdict compares against the subspace totals as
+		// of its own tick. The subspace's scalar state lives in locals
+		// across the loop (written back once) so the per-point work
+		// reads registers, not the state struct.
 		tt := &st.total
 		tdc, ts, tq, tlast := tt.Dc, tt.S, tt.Q, tt.Last
 		repMin, repMinI, repsLast := st.repMin, st.repMinI, st.repsLast
@@ -587,6 +380,9 @@ func (s *shard) processBatch(jb job) {
 			tq += m * m
 			key := keys[i]
 			dc := dcs[i]
+			// Fade the representative densities to the current tick in
+			// strides (decay factors compose, so one batched multiply
+			// per stride is exact up to rounding).
 			if dt := tick - repsLast; dt >= repDecayStride {
 				f := decay.At(dt)
 				for j := range repDc {
@@ -595,8 +391,12 @@ func (s *shard) processBatch(jb job) {
 				repMin *= f
 				repsLast = tick
 			}
-			// Representative update behind the cached-minimum gate;
-			// see processPoint for the reasoning.
+			// Representative update behind the cached-minimum gate: a
+			// touch with dc ≤ repMin can only be the minimum slot
+			// refreshing itself with its unchanged density, a no-op.
+			// Past the gate, refresh the slot this cell already holds
+			// or displace the sparsest representative, recomputing the
+			// cached minimum when it was the one written.
 			if dc > repMin {
 				found := -1
 				if k == 3 {
@@ -639,23 +439,28 @@ func (s *shard) processBatch(jb job) {
 			if tdc < warmup {
 				continue
 			}
+			// rd := dc * phiPow / tdc, compared multiplicatively: the RD
+			// flag test rd < rdThr and the IRSD/IkRD gate rd < 1 cost
+			// one multiply each instead of a division per subspace.
 			lhs := dc * phiPow
 			if auto != nil {
 				if slot := auto.sampleSlot(tick, cfg.EpochTicks); slot >= 0 {
 					s.foldAutoSample(st, li, key, lhs, dc, ss[i], tdc, ts, tq, slot)
 				}
 			}
-			if scoring {
-				if fired, sev := s.scoredVerdict(st, li, key, lhs, dc, ss[i], tdc, ts, tq, rdThr); fired != 0 {
-					verdict[i>>6] |= 1 << (uint(i) & 63)
-					s.attr.add(int32(i), s.subs[li], key, fired, sev)
-				}
+			// All-measures-pass exit, decided inline: a cell at or above
+			// the RD threshold, the populated floor and the uniform
+			// expectation cannot fire any measure, which is most cells.
+			if lhs >= rdThr*tdc && dc >= popFloor && lhs >= tdc {
 				continue
 			}
-			if lhs < rdThr*tdc || dc < popFloor {
-				verdict[i>>6] |= 1 << (uint(i) & 63)
-			} else if lhs < tdc && s.outlyingSlow(st, li, key, ss[i]/dc, tdc, ts, tq) {
-				verdict[i>>6] |= 1 << (uint(i) & 63)
+			fired, sev := s.evaluate(st, li, key, lhs, dc, ss[i], tdc, ts, tq)
+			if fired == 0 {
+				continue
+			}
+			verdict[i>>6] |= 1 << (uint(i) & 63)
+			if scoring {
+				s.attr.add(int32(i), s.subs[li], key, fired, sev)
 			}
 		}
 		tt.Dc, tt.S, tt.Q, tt.Last = tdc, ts, tq, tlast
@@ -755,80 +560,21 @@ func (s *shard) refreshPopFloors() {
 	}
 }
 
-// outlyingSlow evaluates the measures the inline verdict fast path
-// cannot decide: the RD flag, the arity-aware populated-RD flag and
-// the RD < 1 exit run inline (when a subspace's mass concentrates in
-// few cells, a cell can sit at or above the uniform expectation yet
-// still be far below its populated peers, so the populated floor is
-// checked before the rd < 1 gate), and only cells below the uniform
-// expectation reach the IRSD/IkRD evaluations here. The cell's mean
-// member magnitude and the subspace totals are passed as scalars,
-// snapshotted at the point's tick: the batch path keeps the totals in
-// registers (st.total is written back only at batch end) and the cell
-// line keeps absorbing later points of the same batch, so neither may
-// be re-read here.
-func (s *shard) outlyingSlow(st *subspaceState, li int, key uint64, cellMean, tdc, ts, tq float64) bool {
-	cfg := &s.det.cfg
-	if st.irsdThr > 0 && tdc > 0 {
-		// Inverse Relative Standard Deviation: how far the cell's
-		// mean member magnitude sits from the subspace mean, in
-		// subspace standard deviations, mapped to (0,1] by 1/(1+z).
-		mu := ts / tdc
-		if v := tq/tdc - mu*mu; v > 0 {
-			z := math.Abs(cellMean-mu) / math.Sqrt(v)
-			if 1/(1+z) < st.irsdThr {
-				return true
-			}
-		}
-	}
-	if st.ikrdThr > 0 && st.invMaxDist > 0 {
-		// Inverse k-Relative Distance: mean grid (L1) distance from
-		// the cell to the subspace's k densest cells, normalized by
-		// the subspace's diameter and inverted so that far-from-
-		// everything cells score low.
-		k := cfg.K
-		repKey := s.repKeys[li*k : li*k+k]
-		repDc := s.repDcs[li*k : li*k+k]
-		sum, cnt := 0.0, 0
-		for i, rk := range repKey {
-			if repDc[i] <= 0 || rk == key {
-				continue
-			}
-			dist := 0
-			for j := 0; j < int(st.size); j++ {
-				dj := int(core.CoordAt(key, j)) - int(core.CoordAt(rk, j))
-				if dj < 0 {
-					dj = -dj
-				}
-				dist += dj
-			}
-			sum += float64(dist)
-			cnt++
-		}
-		if cnt > 0 {
-			ikrd := 1 - (sum/float64(cnt))*st.invMaxDist
-			if ikrd < st.ikrdThr {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// scoredVerdict is the scoring-path verdict for one (subspace, cell)
-// pair: the same gate set as the unscored fast path — RD, the
-// populated floor, and IRSD/IkRD behind the rd < 1 gate — but
-// returning the full set of fired measures and the maximum normalized
-// deficit (core.Deficit) among them instead of short-circuiting on the
-// first hit. fired != 0 exactly when the unscored path would have
-// flagged, which is what keeps verdict bits identical with scoring on.
-// cellS is the cell's post-touch decayed magnitude sum; the mean is
-// only derived past the rd < 1 gate, mirroring the unscored cost
-// profile. Reached only past the warmup gate.
-func (s *shard) scoredVerdict(st *subspaceState, li int, key uint64, lhs, dc, cellS, tdc, ts, tq, rdThr float64) (core.Measure, float64) {
+// evaluate is the verdict for one warm (subspace, point) pair that
+// failed the inline all-measures-pass exit: it tests RD, the populated
+// floor and — behind the rd < 1 gate, since only cells below the
+// uniform expectation can be relative-density outliers — IRSD and
+// IkRD, returning every fired measure and the maximum normalized
+// deficit (core.Deficit) among them. The point is outlying in this
+// subspace iff fired != 0; a scoring detector also records the pair's
+// attribution. The inputs are scalars snapshotted at the point's tick:
+// the batch pass keeps the subspace totals in registers (st.total is
+// written back only at batch end) and the cell keeps absorbing later
+// points of the same batch, so neither may be re-read here.
+func (s *shard) evaluate(st *subspaceState, li int, key uint64, lhs, dc, cellS, tdc, ts, tq float64) (core.Measure, float64) {
 	var fired core.Measure
 	var sev float64
-	if rhs := rdThr * tdc; lhs < rhs {
+	if rhs := st.rdThr * tdc; lhs < rhs {
 		fired = core.MeasureRD
 		sev = core.Deficit(lhs, rhs)
 	}
@@ -838,64 +584,73 @@ func (s *shard) scoredVerdict(st *subspaceState, li int, key uint64, lhs, dc, ce
 			sev = s2
 		}
 	}
-	if lhs < tdc {
-		f2, s2 := s.slowMeasures(st, li, key, cellS/dc, tdc, ts, tq)
-		fired |= f2
-		if s2 > sev {
-			sev = s2
+	if lhs >= tdc {
+		return fired, sev
+	}
+	if st.irsdThr > 0 {
+		if v, ok := irsd(cellS/dc, tdc, ts, tq); ok && v < st.irsdThr {
+			fired |= core.MeasureIRSD
+			if s2 := core.Deficit(v, st.irsdThr); s2 > sev {
+				sev = s2
+			}
+		}
+	}
+	if st.ikrdThr > 0 {
+		if v, ok := s.ikrd(st, li, key); ok && v < st.ikrdThr {
+			fired |= core.MeasureIkRD
+			if s2 := core.Deficit(v, st.ikrdThr); s2 > sev {
+				sev = s2
+			}
 		}
 	}
 	return fired, sev
 }
 
-// slowMeasures is outlyingSlow retaining magnitudes: it evaluates both
-// IRSD and IkRD (no short-circuit — attribution wants every fired
-// measure) under the identical firing conditions and returns the fired
-// set with the larger deficit. outlyingSlow returns true iff this
-// returns a non-empty set, for the same inputs.
-func (s *shard) slowMeasures(st *subspaceState, li int, key uint64, cellMean, tdc, ts, tq float64) (core.Measure, float64) {
-	cfg := &s.det.cfg
-	var fired core.Measure
-	var sev float64
-	if st.irsdThr > 0 && tdc > 0 {
-		mu := ts / tdc
-		if v := tq/tdc - mu*mu; v > 0 {
-			z := math.Abs(cellMean-mu) / math.Sqrt(v)
-			if irsd := 1 / (1 + z); irsd < st.irsdThr {
-				fired = core.MeasureIRSD
-				sev = core.Deficit(irsd, st.irsdThr)
-			}
-		}
+// irsd is the Inverse Relative Standard Deviation of a cell whose mean
+// member magnitude is cellMean, against the subspace totals (tdc, ts,
+// tq): 1/(1+z), with z the distance of the cell mean from the subspace
+// mean in subspace standard deviations, so cells far out in the
+// subspace's magnitude distribution score low. ok is false while the
+// subspace has no spread.
+func irsd(cellMean, tdc, ts, tq float64) (float64, bool) {
+	mu := ts / tdc
+	if v := tq/tdc - mu*mu; v > 0 {
+		return 1 / (1 + math.Abs(cellMean-mu)/math.Sqrt(v)), true
 	}
-	if st.ikrdThr > 0 && st.invMaxDist > 0 {
-		k := cfg.K
-		repKey := s.repKeys[li*k : li*k+k]
-		repDc := s.repDcs[li*k : li*k+k]
-		sum, cnt := 0.0, 0
-		for i, rk := range repKey {
-			if repDc[i] <= 0 || rk == key {
-				continue
-			}
-			dist := 0
-			for j := 0; j < int(st.size); j++ {
-				dj := int(core.CoordAt(key, j)) - int(core.CoordAt(rk, j))
-				if dj < 0 {
-					dj = -dj
-				}
-				dist += dj
-			}
-			sum += float64(dist)
-			cnt++
-		}
-		if cnt > 0 {
-			ikrd := 1 - (sum/float64(cnt))*st.invMaxDist
-			if ikrd < st.ikrdThr {
-				fired |= core.MeasureIkRD
-				if s2 := core.Deficit(ikrd, st.ikrdThr); s2 > sev {
-					sev = s2
-				}
-			}
-		}
+	return 0, false
+}
+
+// ikrd is the Inverse k-Relative Distance of cell key in owned
+// subspace li: one minus the mean grid (L1) distance from the cell to
+// the subspace's live representatives (its k densest cells, the cell
+// itself excluded), normalized by the subspace diameter, so cells far
+// from every dense region score low. ok is false when φ == 1 or no
+// other representative is live.
+func (s *shard) ikrd(st *subspaceState, li int, key uint64) (float64, bool) {
+	if st.invMaxDist <= 0 {
+		return 0, false
 	}
-	return fired, sev
+	k := s.det.cfg.K
+	repKey := s.repKeys[li*k : li*k+k]
+	repDc := s.repDcs[li*k : li*k+k]
+	sum, cnt := 0.0, 0
+	for i, rk := range repKey {
+		if repDc[i] <= 0 || rk == key {
+			continue
+		}
+		dist := 0
+		for j := 0; j < int(st.size); j++ {
+			dj := int(core.CoordAt(key, j)) - int(core.CoordAt(rk, j))
+			if dj < 0 {
+				dj = -dj
+			}
+			dist += dj
+		}
+		sum += float64(dist)
+		cnt++
+	}
+	if cnt == 0 {
+		return 0, false
+	}
+	return 1 - (sum/float64(cnt))*st.invMaxDist, true
 }

@@ -16,13 +16,15 @@ import (
 
 // snapTrial is one randomized checkpoint/restore scenario: a data
 // stream, a batch plan, a kill point at a batch boundary, and the
-// detector configuration knobs the restore must reproduce.
+// detector configuration knobs the restore must reproduce. Small
+// trials cut the stream into batches under 64 points, so every touch
+// takes the fused per-point path instead of the coalesced run fold.
 type snapTrial struct {
 	scenario   string
 	d, n       int
 	epoch      uint64
 	supervised bool
-	noCoalesce bool
+	small      bool
 	maxDim     int
 	lambda     float64
 	evSeed     int64
@@ -58,7 +60,7 @@ func makeSnapTrial(t *testing.T, trial int, meta *rand.Rand) snapTrial {
 	tr := snapTrial{
 		d: d, n: n, epoch: epoch,
 		supervised: trial%2 == 0,
-		noCoalesce: trial%4 >= 2,
+		small:      trial%4 >= 2,
 		maxDim:     1 + meta.Intn(2),
 		lambda:     []float64{0.005, 0.01, 0.02}[meta.Intn(3)],
 		evSeed:     meta.Int63(),
@@ -74,11 +76,14 @@ func makeSnapTrial(t *testing.T, trial int, meta *rand.Rand) snapTrial {
 		tr.batches = append(tr.batches, b)
 		rem -= b
 	}
+	if tr.small {
+		tr.batches = smallBatchPlan(n, gcfg.Seed)
+	}
 	// Kill somewhere in the middle of the run, never at the very end,
 	// so both halves exercise real work.
 	tr.killAfter = 1 + meta.Intn(len(tr.batches)-1)
-	tr.scenario = fmt.Sprintf("trial=%d d=%d epoch=%d n=%d mode=%d supervised=%v noCoalesce=%v maxDim=%d lambda=%g evSeed=%d batches=%d killAfter=%d",
-		trial, d, epoch, n, mode, tr.supervised, tr.noCoalesce, tr.maxDim, tr.lambda, tr.evSeed, len(tr.batches), tr.killAfter)
+	tr.scenario = fmt.Sprintf("trial=%d d=%d epoch=%d n=%d mode=%d supervised=%v small=%v maxDim=%d lambda=%g evSeed=%d batches=%d killAfter=%d",
+		trial, d, epoch, n, mode, tr.supervised, tr.small, tr.maxDim, tr.lambda, tr.evSeed, len(tr.batches), tr.killAfter)
 	return tr
 }
 
@@ -111,7 +116,6 @@ func (tr *snapTrial) config(t *testing.T, shards int) Config {
 	cfg.EpochTicks = tr.epoch
 	cfg.EvictEpsilon = 1e-4
 	cfg.RDPopulatedThreshold = 0.2
-	cfg.NoCoalesce = tr.noCoalesce
 	cfg.Evolver = tr.evolver(t)
 	return cfg
 }
@@ -181,7 +185,7 @@ func sameEpochStats(a, b Stats) bool {
 // heart of the checkpoint work: kill a detector at a random batch
 // boundary mid-stream, restore it from the snapshot bytes, and the
 // continuation must be verdict-bit-identical to the uninterrupted
-// oracle — across shard counts, coalescing on and off, and with the
+// oracle — across shard counts, both touch paths, and with the
 // supervised MOGA evolver (RNG state and all) in the loop on half the
 // trials. Final epoch statistics and evolved subspaces must match too.
 func TestRestoreEquivalenceProperty(t *testing.T) {
@@ -348,8 +352,10 @@ func TestRestoreConfigMismatch(t *testing.T) {
 // snapshot carrying evolver state cannot restore into it.
 type plainEvolver struct{}
 
-func (plainEvolver) Observe(sub uint32, outlier bool)                       {}
-func (plainEvolver) Evolve(tmpl *sst.Template, st *sst.EpochStats) sst.Evolution { return sst.Evolution{} }
+func (plainEvolver) Observe(sub uint32, outlier bool) {}
+func (plainEvolver) Evolve(tmpl *sst.Template, st *sst.EpochStats) sst.Evolution {
+	return sst.Evolution{}
+}
 
 // TestRestoreFaultInjection sweeps injected faults over real snapshot
 // bytes: truncation at every section boundary and mid-payload, bit

@@ -14,8 +14,8 @@ go test -bench BenchmarkDetector -benchtime=1s -run '^$' ./internal/stream/
 # spotbench resolves and records the producing git SHA itself
 # (overridable with -gitsha). Extra flags pass straight through — e.g.
 #   ./scripts/bench.sh -cpuprofile /tmp/spot.prof
-# profiles the throughput grid, and the JSON now carries ns_per_point /
-# allocs_per_point per configuration plus the serial-vs-parallel epoch
-# sweep pause. `make microbench` complements this artifact with the
-# table-level and per-point microbenchmarks and their zero-alloc gates.
+# profiles the throughput grid, and the JSON carries ns_per_point /
+# allocs_per_point per configuration. `make microbench` complements
+# this artifact with the table-level and per-point microbenchmarks and
+# their zero-alloc gates.
 go run ./cmd/spotbench -out BENCH_core.json "$@"
