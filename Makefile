@@ -1,4 +1,4 @@
-.PHONY: build test bench bench-compare microbench vet fmt-check lint fuzz cover e2e chaos
+.PHONY: build test microbench vet fmt-check lint fuzz cover e2e chaos
 
 build:
 	go build ./...
@@ -54,25 +54,13 @@ e2e:
 chaos:
 	go test -race -count=1 -run 'TestChaosFailover' -v ./cmd/spotd
 
-bench:
-	./scripts/bench.sh
-
-# Regression gate on the tracked perf baseline: run the benchmark grid
-# into a scratch artifact and diff it against the checked-in
-# BENCH_core.json — exits non-zero when any shared scenario loses more
-# than 10% points/sec (cmd/benchdiff; threshold and warn-only mode are
-# flags there). Override BENCHDUR for a quicker, noisier run.
-BENCHDUR ?= 2s
-bench-compare:
-	go run ./cmd/spotbench -out /tmp/BENCH_new.json -duration $(BENCHDUR)
-	go run ./cmd/benchdiff BENCH_core.json /tmp/BENCH_new.json
-
 # Hot-path microbenchmarks: the open-addressed cell table vs its
-# map-backed oracle (internal/core) and the detector's point/batch
-# ingestion paths (internal/stream), with allocation reporting. The
-# -run filter also executes the zero-allocs gates, so a steady-state
-# allocation on the hot path fails the target. Override BENCHTIME
-# (e.g. BENCHTIME=1x) for a smoke run in CI.
+# map-backed oracle (internal/core), the detector's point/batch
+# ingestion paths and its d=20/50/100 × 1/4/8-shard throughput grid
+# (internal/stream), with allocation reporting. The -run filter also
+# executes the zero-allocs gates, so a steady-state allocation on the
+# hot path fails the target. Override BENCHTIME (e.g. BENCHTIME=1x)
+# for a smoke run in CI.
 BENCHTIME ?= 1s
 microbench:
-	go test -run 'ZeroAllocs' -bench 'PCSTable|ProcessPoint|ProcessBatch' -benchmem -benchtime $(BENCHTIME) ./internal/core ./internal/stream
+	go test -run 'ZeroAllocs' -bench 'PCSTable|ProcessPoint|ProcessBatch|Detector' -benchmem -benchtime $(BENCHTIME) ./internal/core ./internal/stream

@@ -16,9 +16,9 @@ import "math/rand"
 
 // MaxDimFor is the benchmark policy for SST arity by dimensionality:
 // the full 3-D template at d ≤ 20, 2-D above (3-D enumeration at d=100
-// is 160k+ subspaces — a different experiment). Shared by the go-test
-// benchmarks and cmd/spotbench so BENCH_core.json stays comparable
-// with `go test -bench` output.
+// is 160k+ subspaces — a different experiment). Shared by
+// BenchmarkDetector and TestRankingQuality so the throughput grid and
+// the ranking-quality gate run the same templates.
 func MaxDimFor(d int) int {
 	if d <= 20 {
 		return 3

@@ -18,7 +18,8 @@ func benchKeys(n int) []uint64 {
 	return keys
 }
 
-// benchTableSize matches the d=20 spotbench working set (~28k cells).
+// benchTableSize matches the d=20 BenchmarkDetector working set (~28k
+// cells).
 const benchTableSize = 28000
 
 // BenchmarkPCSTableGet measures a hot-path hit on the open-addressed

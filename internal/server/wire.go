@@ -180,6 +180,12 @@ func writeFrame(w io.Writer, typ uint8, head, body []byte) error {
 	return nil
 }
 
+// readChunk bounds what readFrame allocates before any body byte has
+// arrived. A larger body doubles as it is read, so a peer that declares
+// MaxFrame and stalls pins memory in proportion to what it actually
+// sent, and every frame up to one chunk is still a single allocation.
+const readChunk = 1 << 20
+
 // readFrame reads one frame, enforcing the length cap. The returned
 // payload excludes the type byte.
 func readFrame(r io.Reader) (uint8, []byte, error) {
@@ -191,11 +197,18 @@ func readFrame(r io.Reader) (uint8, []byte, error) {
 	if n < 1 || n > MaxFrame {
 		return 0, nil, fmt.Errorf("%w: frame length %d", ErrBadRequest, n)
 	}
-	payload := make([]byte, n-1)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
+	size := int(n - 1)
+	payload := make([]byte, min(size, readChunk))
+	off := 0
+	for {
+		if _, err := io.ReadFull(r, payload[off:]); err != nil {
+			return 0, nil, err
+		}
+		if off = len(payload); off == size {
+			return hdr[4], payload, nil
+		}
+		payload = append(payload, make([]byte, min(size-off, off))...)
 	}
-	return hdr[4], payload, nil
 }
 
 // wireBuf is a cursor over a frame payload with the same sticky-error

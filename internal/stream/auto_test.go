@@ -150,50 +150,80 @@ func TestAutoThresholdFlaggedRateBand(t *testing.T) {
 // TestAutoThresholdRefitsUnderDrift: an abrupt distribution shift (the
 // uniform box collapses onto one half of every axis) must not wedge the
 // calibrators — refits keep landing after the shift and the flagged
-// rate over the post-shift steady window stays within the band.
+// rate over the post-shift steady window stays within the band. The
+// d=20 legs are the calibration gate at deep risks: each measures the
+// rate on both sides of the shift, over windows long enough (~50
+// expected flags at q=1e-4) for a stable rate, after a warm phase that
+// covers the controller's ~40-epoch convergence transient. They skip
+// under -race, where they would take minutes.
 func TestAutoThresholdRefitsUnderDrift(t *testing.T) {
-	const risk = 0.01
-	cfg := autoTestConfig(risk)
-	det, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer det.Close()
-	rng := rand.New(rand.NewSource(23))
-	buf := make([]float64, cfg.Dims)
-	for i := 0; i < 40*int(cfg.EpochTicks); i++ {
-		for j := range buf {
-			buf[j] = rng.Float64()
-		}
-		det.Process(buf)
-	}
-	calsBefore := det.Stats().Calibrations
-	// Shift: all mass moves to [0, 0.5) on every axis. Let the
-	// detector re-learn — the sample windows turn over in ~8 epochs
-	// and the controller re-converges — then measure.
-	for i := 0; i < 40*int(cfg.EpochTicks); i++ {
-		for j := range buf {
-			buf[j] = rng.Float64() * 0.5
-		}
-		det.Process(buf)
-	}
-	if calsAfter := det.Stats().Calibrations; calsAfter <= calsBefore {
-		t.Errorf("no calibrations after drift: %d before, %d after", calsBefore, calsAfter)
-	}
-	const measure = 30720
-	flags := 0
-	for i := 0; i < measure; i++ {
-		for j := range buf {
-			buf[j] = rng.Float64() * 0.5
-		}
-		if det.Process(buf) {
-			flags++
-		}
-	}
-	rate := float64(flags) / measure
-	if rate < risk/3 || rate > risk*3 {
-		t.Errorf("post-drift flagged rate %.4f outside [q/3, 3q] for q=%g (%d flags / %d points)",
-			rate, risk, flags, measure)
+	const epoch = 512
+	for _, tc := range []struct {
+		name   string
+		dims   int
+		risk   float64
+		seed   int64
+		batch  int // points per ProcessBatch call
+		warm   int // points fed before each measure window
+		steady int // points measured before the shift (0: none)
+		drift  int // points measured after the shift
+		long   bool
+	}{
+		{"d=6/q=1e-2", 6, 1e-2, 23, 1, 40 * epoch, 0, 30720, false},
+		{"d=20/q=1e-3", 20, 1e-3, 71, epoch, 60 * epoch, 200 * epoch, 200 * epoch, true},
+		{"d=20/q=1e-4", 20, 1e-4, 71, epoch, 60 * epoch, 1000 * epoch, 1000 * epoch, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.long && raceEnabled {
+				t.Skip("long calibration run; CI runs it without -race")
+			}
+			cfg := autoTestConfig(tc.risk)
+			cfg.Dims = tc.dims
+			det, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer det.Close()
+			rng := rand.New(rand.NewSource(tc.seed))
+			flat := make([]float64, tc.batch*tc.dims)
+			out := make([]bool, tc.batch)
+			// feed streams n points drawn from [0, scale)^d and returns
+			// their flagged rate.
+			feed := func(n int, scale float64) float64 {
+				flags := 0
+				for done := 0; done < n; done += tc.batch {
+					for i := range flat {
+						flat[i] = rng.Float64() * scale
+					}
+					det.ProcessBatch(flat, out)
+					for _, f := range out {
+						if f {
+							flags++
+						}
+					}
+				}
+				return float64(flags) / float64(n)
+			}
+			inBand := func(window string, rate float64) {
+				t.Logf("%s flagged rate %.3g", window, rate)
+				if rate < tc.risk/3 || rate > tc.risk*3 {
+					t.Errorf("%s flagged rate %.3g outside [q/3, 3q] for q=%g", window, rate, tc.risk)
+				}
+			}
+			feed(tc.warm, 1)
+			if tc.steady > 0 {
+				inBand("steady", feed(tc.steady, 1))
+			}
+			calsBefore := det.Stats().Calibrations
+			// Shift: all mass moves to [0, 0.5) on every axis. Let the
+			// detector re-learn — the sample windows turn over in ~8
+			// epochs and the controller re-converges — then measure.
+			feed(tc.warm, 0.5)
+			if calsAfter := det.Stats().Calibrations; calsAfter <= calsBefore {
+				t.Errorf("no calibrations after drift: %d before, %d after", calsBefore, calsAfter)
+			}
+			inBand("post-drift", feed(tc.drift, 0.5))
+		})
 	}
 }
 

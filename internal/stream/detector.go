@@ -458,15 +458,24 @@ func (d *Detector) Process(point []float64) bool {
 // length check is exact — a batch-shaped slice of several points is
 // rejected, not ingested.
 func (d *Detector) ProcessErr(point []float64) (bool, error) {
-	if d.closed {
-		return false, ErrClosed
-	}
-	if len(point) != d.cfg.Dims {
-		return false, fmt.Errorf("%w: point has %d values, want %d", ErrBatchLength, len(point), d.cfg.Dims)
+	if err := d.checkPoint(point); err != nil {
+		return false, err
 	}
 	var out [1]bool
 	_, err := d.ProcessBatchErr(point, out[:])
 	return out[0], err
+}
+
+// checkPoint rejects a call on a closed detector and a single point
+// whose length is not exactly Dims.
+func (d *Detector) checkPoint(point []float64) error {
+	if d.closed {
+		return ErrClosed
+	}
+	if len(point) != d.cfg.Dims {
+		return fmt.Errorf("%w: point has %d values, want %d", ErrBatchLength, len(point), d.cfg.Dims)
+	}
+	return nil
 }
 
 // checkFinite rejects NaN and ±Inf coordinates; v-v is 0 for every
@@ -701,8 +710,17 @@ func (d *Detector) Closed() bool { return d.closed }
 // MarkExample must be called from the goroutine driving Process /
 // ProcessBatch, between calls — typically right after a flagged point
 // is confirmed by the caller's feedback loop. It never touches the
-// ingestion hot path: no shard state is read or written.
-func (d *Detector) MarkExample(point []float64) {
+// ingestion hot path: no shard state is read or written. A closed
+// detector, a point whose length is not Dims or a non-finite
+// coordinate returns a typed error (ErrClosed, ErrBatchLength,
+// ErrNonFinite) and records nothing.
+func (d *Detector) MarkExample(point []float64) error {
+	if err := d.checkPoint(point); err != nil {
+		return err
+	}
+	if err := checkFinite(point, d.cfg.Dims); err != nil {
+		return err
+	}
 	coords := make([]uint8, d.cfg.Dims)
 	d.grid.Intervals(point, coords)
 	if len(d.examples) >= d.cfg.MaxExamples {
@@ -710,6 +728,7 @@ func (d *Detector) MarkExample(point []float64) {
 		d.examples = d.examples[:n]
 	}
 	d.examples = append(d.examples, sst.Example{Coords: coords, Tick: d.tick})
+	return nil
 }
 
 // ExampleCount returns the number of labeled examples currently

@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"spot/internal/bench"
@@ -131,7 +133,8 @@ func TestSupervisedEvolutionLearnsFromExamples(t *testing.T) {
 
 // TestMarkExampleRetention pins the bounded-retention contract: the
 // example set caps at MaxExamples (oldest dropped first) and the epoch
-// sweep expires examples older than ExampleTTL.
+// sweep expires examples older than ExampleTTL. A malformed point or a
+// closed detector returns a typed error and records nothing.
 func TestMarkExampleRetention(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.MaxSubspaceDim = 1
@@ -149,9 +152,33 @@ func TestMarkExampleRetention(t *testing.T) {
 	}
 	defer det.Close()
 
+	// Each rejected point is checked while the set is below its cap,
+	// where a wrongly recorded example would show in the count.
+	for _, tc := range []struct {
+		name  string
+		point []float64
+		want  error
+	}{
+		{"empty", []float64{}, ErrBatchLength},
+		{"short", []float64{0.5, 0.5, 0.5}, ErrBatchLength},
+		{"long", []float64{0.5, 0.5, 0.5, 0.5, 0.5}, ErrBatchLength},
+		{"nan", []float64{0.5, math.NaN(), 0.5, 0.5}, ErrNonFinite},
+		{"+inf", []float64{0.5, 0.5, math.Inf(1), 0.5}, ErrNonFinite},
+		{"-inf", []float64{0.5, 0.5, 0.5, math.Inf(-1)}, ErrNonFinite},
+	} {
+		if err := det.MarkExample(tc.point); !errors.Is(err, tc.want) {
+			t.Errorf("%s point: MarkExample = %v, want %v", tc.name, err, tc.want)
+		}
+		if got := det.ExampleCount(); got != 0 {
+			t.Fatalf("%s point: ExampleCount = %d, want 0", tc.name, got)
+		}
+	}
+
 	point := []float64{0.5, 0.5, 0.5, 0.5}
 	for i := 0; i < 6; i++ {
-		det.MarkExample(point)
+		if err := det.MarkExample(point); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got := det.ExampleCount(); got != cfg.MaxExamples {
 		t.Fatalf("ExampleCount = %d after 6 marks, want cap %d", got, cfg.MaxExamples)
@@ -173,5 +200,13 @@ func TestMarkExampleRetention(t *testing.T) {
 	}
 	if got := det.ExampleCount(); got != 1 {
 		t.Fatalf("ExampleCount = %d, want 1 fresh example retained", got)
+	}
+
+	det.Close()
+	if err := det.MarkExample(point); !errors.Is(err, ErrClosed) {
+		t.Errorf("MarkExample after Close = %v, want ErrClosed", err)
+	}
+	if got := det.ExampleCount(); got != 1 {
+		t.Errorf("ExampleCount = %d after a refused mark, want 1", got)
 	}
 }
