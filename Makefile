@@ -1,4 +1,4 @@
-.PHONY: build test microbench vet fmt-check lint fuzz cover e2e chaos
+.PHONY: build test microbench vet fmt-check inline-check lint fuzz cover e2e chaos
 
 build:
 	go build ./...
@@ -13,6 +13,11 @@ vet:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 
+# Fails naming every function on the checked-in hot-path list
+# (scripts/inline_hotpath.txt) that the compiler no longer inlines.
+inline-check:
+	./scripts/inlinecheck.sh
+
 # Short native-fuzzing smoke over the cell-key round-trip property and
 # the snapshot codec (mutated checkpoint bytes must decode with
 # matching CRCs or fail with a typed error — never panic or over-
@@ -23,10 +28,10 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzSnapshotRoundTrip -fuzztime 10s ./internal/snapshot
 	go test -run '^$$' -fuzz FuzzScoreStateRoundTrip -fuzztime 10s ./internal/stream
 
-# lint = gofmt cleanliness + vet + the repo's godoc discipline (every
-# exported symbol in internal/ and cmd/ must carry a doc comment, see
-# cmd/doccheck) + the fuzz smoke run.
-lint: fmt-check vet fuzz
+# lint = gofmt cleanliness + vet + the hot-path inlining guard + the
+# repo's godoc discipline (every exported symbol in internal/ and cmd/
+# must carry a doc comment, see cmd/doccheck) + the fuzz smoke run.
+lint: fmt-check vet inline-check fuzz
 	go run ./cmd/doccheck ./internal ./cmd
 
 # Coverage gate: fails when internal/... test coverage drops below the

@@ -16,12 +16,12 @@
 //     EncodeCell / DecodeCell.
 //
 //   - BCS (Base Cell Summary): the summary kept for every populated
-//     base cell, i.e. a cell of the full d-dimensional space. It holds
-//     the decayed density Dc plus per-dimension decayed linear and
-//     squared sums (LS/SS) from which centroids and spreads of any
-//     projection can be reconstructed — the raw material the epoch
-//     sweep snapshots for the self-evolving subspace group
-//     (internal/sst's Evolver). See BCS.
+//     base cell, i.e. a cell of the full d-dimensional space, when an
+//     evolver is configured. It holds the decayed density Dc and the
+//     last-touch tick — the raw material the epoch sweep snapshots for
+//     the self-evolving subspace group (internal/sst's Evolver). The
+//     paper's per-dimension linear and squared sums are not kept: no
+//     evolver here reconstructs projected centroids. See BCS.
 //
 //   - PCS (Projected Cell Summary): the compact summary kept per
 //     populated cell of every subspace in the Sparse Subspace Template.

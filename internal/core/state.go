@@ -38,14 +38,10 @@ func (t *BCSTable) Range(visit func(key string, b *BCS)) {
 
 // Load inserts a base cell under key with the given summary, verbatim
 // — the snapshot-restore primitive. The key must be one byte per
-// dimension and the summary's moment slices must match the table's
-// dimensionality; a populated key is a corrupt-snapshot condition.
+// dimension; a populated key is a corrupt-snapshot condition.
 func (t *BCSTable) Load(key string, b *BCS) error {
 	if len(key) != t.dims {
 		return fmt.Errorf("core: base-cell key of %d bytes in a %d-dimensional table", len(key), t.dims)
-	}
-	if len(b.LS) != t.dims || len(b.SS) != t.dims {
-		return fmt.Errorf("core: base-cell moments of %d/%d dims in a %d-dimensional table", len(b.LS), len(b.SS), t.dims)
 	}
 	if _, ok := t.cells[key]; ok {
 		return fmt.Errorf("core: duplicate base-cell key %q", key)
@@ -53,6 +49,3 @@ func (t *BCSTable) Load(key string, b *BCS) error {
 	t.cells[key] = b
 	return nil
 }
-
-// Dims returns the dimensionality of the table's data space.
-func (t *BCSTable) Dims() int { return t.dims }

@@ -47,17 +47,13 @@ func TestPCSTableAppend(t *testing.T) {
 
 // TestBCSTableLoadRange: Load stores summaries verbatim under
 // validation, Range visits every populated cell, and malformed
-// restores (wrong key width, wrong moment dimensionality, duplicates)
-// are rejected.
+// restores (wrong key width, duplicates) are rejected.
 func TestBCSTableLoadRange(t *testing.T) {
 	const d = 3
 	tbl := NewBCSTable(d)
-	if tbl.Dims() != d {
-		t.Fatalf("Dims %d, want %d", tbl.Dims(), d)
-	}
 	cells := map[string]*BCS{
-		string([]byte{0, 1, 2}): {Dc: 2.5, LS: []float64{1, 2, 3}, SS: []float64{1, 4, 9}, Last: 7},
-		string([]byte{5, 5, 5}): {Dc: 0.25, LS: []float64{9, 9, 9}, SS: []float64{81, 81, 81}, Last: 9},
+		string([]byte{0, 1, 2}): {Dc: 2.5, Last: 7},
+		string([]byte{5, 5, 5}): {Dc: 0.25, Last: 9},
 	}
 	for key, b := range cells {
 		if err := tbl.Load(key, b); err != nil {
@@ -74,7 +70,7 @@ func TestBCSTableLoadRange(t *testing.T) {
 		if !ok {
 			t.Fatalf("Range visited unknown key %q", key)
 		}
-		if b.Dc != want.Dc || b.Last != want.Last || b.LS[1] != want.LS[1] || b.SS[2] != want.SS[2] {
+		if *b != *want {
 			t.Fatalf("Range %q summary %+v, want %+v", key, b, want)
 		}
 	})
@@ -88,10 +84,9 @@ func TestBCSTableLoadRange(t *testing.T) {
 		b    *BCS
 		want string
 	}{
-		{"short key", string([]byte{0, 1}), NewBCS(d), "key of 2 bytes"},
-		{"long key", string([]byte{0, 1, 2, 3}), NewBCS(d), "key of 4 bytes"},
-		{"wrong moments", string([]byte{9, 9, 9}), &BCS{LS: []float64{1}, SS: []float64{1}}, "moments"},
-		{"duplicate", string([]byte{0, 1, 2}), NewBCS(d), "duplicate"},
+		{"short key", string([]byte{0, 1}), &BCS{}, "key of 2 bytes"},
+		{"long key", string([]byte{0, 1, 2, 3}), &BCS{}, "key of 4 bytes"},
+		{"duplicate", string([]byte{0, 1, 2}), &BCS{}, "duplicate"},
 	}
 	for _, tc := range bad {
 		err := tbl.Load(tc.key, tc.b)

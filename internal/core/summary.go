@@ -61,8 +61,15 @@ func (t *DecayTable) At(dt uint64) float64 {
 	if dt < decayTableSize {
 		return t.pow[dt]
 	}
-	return decayWeight(t.lambda, dt)
+	return t.far(dt)
 }
+
+// far is At's past-the-table fallback, kept out of line so At stays
+// under the compiler's inlining budget: every decay lookup on the hot
+// path is then a table load, not a call (make lint checks this).
+//
+//go:noinline
+func (t *DecayTable) far(dt uint64) float64 { return decayWeight(t.lambda, dt) }
 
 // PCS is the Projected Cell Summary: the per-cell state SPOT keeps for
 // every populated cell of every subspace in the SST. All fields decay
@@ -101,81 +108,30 @@ func (p *PCS) DcAt(t *DecayTable, tick uint64) float64 {
 	return p.Dc * t.At(tick-p.Last)
 }
 
-// Mean returns the decayed mean magnitude of the cell's members.
-func (p *PCS) Mean() float64 {
-	if p.Dc == 0 {
-		return 0
-	}
-	return p.S / p.Dc
-}
-
-// Sigma returns the decayed standard deviation of member magnitudes.
-func (p *PCS) Sigma() float64 {
-	if p.Dc == 0 {
-		return 0
-	}
-	mu := p.S / p.Dc
-	v := p.Q/p.Dc - mu*mu
-	if v <= 0 {
-		return 0
-	}
-	return math.Sqrt(v)
-}
-
 // BCS is the Base Cell Summary kept for populated cells of the full
-// d-dimensional space. Unlike the scalar PCS it stores per-dimension
-// decayed linear sums (LS) and squared sums (SS), so the centroid and
-// spread of the cell under any projection can be reconstructed without
-// revisiting data — the raw material the epoch sweep snapshots and the
-// self-evolving subspace group (internal/sst's TopSparse evolver)
-// mines for candidate subspaces.
+// d-dimensional space: the decayed density and the tick of the last
+// touch — exactly what the epoch sweep hands a configured evolver
+// (internal/sst's TopSparse and MOGA read a base cell's coordinates and
+// decayed density, nothing else). The paper's BCS also carries
+// per-dimension linear and squared sums for reconstructing projected
+// centroids; no evolver here uses them, so they are not kept.
 type BCS struct {
 	Dc   float64
-	LS   []float64
-	SS   []float64
 	Last uint64
 }
 
-// NewBCS returns an empty base cell summary for a d-dimensional space.
-func NewBCS(d int) *BCS {
-	return &BCS{LS: make([]float64, d), SS: make([]float64, d)}
-}
-
-// Touch folds point (length d) observed at tick into the summary,
-// applying pending decay first. For an existing cell it performs no
-// allocation.
-func (b *BCS) Touch(t *DecayTable, tick uint64, point []float64) {
+// Touch folds one point observed at tick into the summary, applying
+// pending decay first. It performs no allocation.
+func (b *BCS) Touch(t *DecayTable, tick uint64) {
 	if b.Last != tick {
-		d := t.At(tick - b.Last)
-		b.Dc *= d
-		for i := range b.LS {
-			b.LS[i] *= d
-			b.SS[i] *= d
-		}
+		b.Dc *= t.At(tick - b.Last)
 		b.Last = tick
 	}
 	b.Dc++
-	for i, x := range point {
-		b.LS[i] += x
-		b.SS[i] += x * x
-	}
 }
 
 // DcAt returns the decayed density as seen at tick without mutating the
 // summary.
 func (b *BCS) DcAt(t *DecayTable, tick uint64) float64 {
 	return b.Dc * t.At(tick-b.Last)
-}
-
-// Centroid writes the decayed centroid of the cell into out.
-func (b *BCS) Centroid(out []float64) {
-	if b.Dc == 0 {
-		for i := range b.LS {
-			out[i] = 0
-		}
-		return
-	}
-	for i := range b.LS {
-		out[i] = b.LS[i] / b.Dc
-	}
 }

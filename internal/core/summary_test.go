@@ -58,64 +58,34 @@ func TestDecayTableMatchesExp2(t *testing.T) {
 	}
 }
 
-func TestPCSMoments(t *testing.T) {
-	table := NewDecayTable(0.01)
-	var p PCS
-	p.Last = 5
-	// All touches at the same tick: no decay, plain sample moments.
-	for _, m := range []float64{1, 2, 3} {
-		p.Touch(table, 5, m)
-	}
-	if got := p.Mean(); math.Abs(got-2) > 1e-12 {
-		t.Errorf("Mean = %v, want 2", got)
-	}
-	want := math.Sqrt(2.0 / 3.0) // population std of {1,2,3}
-	if got := p.Sigma(); math.Abs(got-want) > 1e-12 {
-		t.Errorf("Sigma = %v, want %v", got, want)
-	}
-	var empty PCS
-	if empty.Mean() != 0 || empty.Sigma() != 0 {
-		t.Error("empty PCS moments not zero")
-	}
-}
-
-// TestBCSDecayClosedForm checks the per-dimension linear sums decay to
-// the closed-form weighted sum, and the centroid is their ratio.
+// TestBCSDecayClosedForm drives a BCS through irregular touch times and
+// checks that its lazily-decayed density matches the closed form
+// Σ 2^(-λ(T-tᵢ)), both as stored at the last touch and as read later
+// through DcAt.
 func TestBCSDecayClosedForm(t *testing.T) {
 	const lambda = 0.02
 	table := NewDecayTable(lambda)
-	points := [][]float64{{1, 10}, {2, 20}, {3, 30}}
-	ticks := []uint64{3, 50, 51}
+	ticks := []uint64{3, 50, 51, 51, 5000}
 
-	b := NewBCS(2)
-	b.Last = ticks[0]
-	for i, pt := range points {
-		b.Touch(table, ticks[i], pt)
+	b := BCS{Last: ticks[0]}
+	for _, tk := range ticks {
+		b.Touch(table, tk)
 	}
-	T := ticks[len(ticks)-1]
-	wantDc := 0.0
-	wantLS := []float64{0, 0}
-	for i, tk := range ticks {
-		w := math.Exp2(-lambda * float64(T-tk))
-		wantDc += w
-		for j := range wantLS {
-			wantLS[j] += w * points[i][j]
+	wantDc := func(T uint64) float64 {
+		w := 0.0
+		for _, tk := range ticks {
+			w += math.Exp2(-lambda * float64(T-tk))
 		}
+		return w
 	}
-	if math.Abs(b.Dc-wantDc) > 1e-9 {
-		t.Errorf("Dc = %.12f, want %.12f", b.Dc, wantDc)
+	last := ticks[len(ticks)-1]
+	if b.Last != last {
+		t.Errorf("Last = %d, want %d", b.Last, last)
 	}
-	cent := make([]float64, 2)
-	b.Centroid(cent)
-	for j := range cent {
-		if want := wantLS[j] / wantDc; math.Abs(cent[j]-want) > 1e-9 {
-			t.Errorf("Centroid[%d] = %.12f, want %.12f", j, cent[j], want)
-		}
+	if want := wantDc(last); math.Abs(b.Dc-want) > 1e-9 {
+		t.Errorf("Dc = %.12f, want %.12f", b.Dc, want)
 	}
-	var zero BCS
-	zero.LS = make([]float64, 2)
-	zero.Centroid(cent)
-	if cent[0] != 0 || cent[1] != 0 {
-		t.Error("empty BCS centroid not zero")
+	if got, want := b.DcAt(table, last+70), wantDc(last+70); math.Abs(got-want) > 1e-9 {
+		t.Errorf("DcAt(T) = %.12f, want %.12f", got, want)
 	}
 }

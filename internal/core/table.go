@@ -101,7 +101,7 @@ func (t *PCSTable) Get(key uint64, tick uint64) *PCS {
 // GetSlot is Get returning the cell's dense slot instead of a summary
 // pointer, for callers that cache slots across touches: slots are
 // stable under Get/insert (appends never move existing cells) and are
-// invalidated only by Sweep/EvictIf compaction. Pair with CellAt.
+// invalidated only by Sweep/EvictIf compaction.
 func (t *PCSTable) GetSlot(key uint64, tick uint64) uint32 {
 	if t.buckets != nil {
 		mask := uint64(len(t.buckets) - 1)
@@ -126,11 +126,6 @@ func (t *PCSTable) GetSlot(key uint64, tick uint64) uint32 {
 	t.insert(key, s)
 	return s
 }
-
-// CellAt returns the summary at dense slot i, as previously returned by
-// GetSlot. The slot must not have been invalidated by a Sweep or
-// EvictIf since.
-func (t *PCSTable) CellAt(i uint32) *PCS { return &t.cells[i] }
 
 // Contains reports whether the cell key is populated, without
 // inserting. Used by the epoch path to detect representatives whose
@@ -692,7 +687,8 @@ func (t *PCSTable) EvictIf(pred func(key uint64) bool) int {
 // allocation-free for existing cells (the compiler elides the string
 // conversion used as a map index); only inserting a new cell
 // materializes the key. Not safe for concurrent use; the detector's
-// dispatcher goroutine owns it exclusively.
+// dispatcher goroutine owns it exclusively, and builds it only when an
+// evolver is configured to read it.
 type BCSTable struct {
 	dims  int
 	cells map[string]*BCS
@@ -707,26 +703,26 @@ func NewBCSTable(d int) *BCSTable {
 // Len returns the number of populated base cells.
 func (t *BCSTable) Len() int { return len(t.cells) }
 
-// Touch folds point (length d), whose per-dimension interval indices
-// are in coords, into its base cell at tick.
-func (t *BCSTable) Touch(d *DecayTable, tick uint64, coords []uint8, point []float64) {
+// Touch folds one point, whose per-dimension interval indices are in
+// coords, into its base cell at tick. The point's values are ignored —
+// a base cell keeps no moments — and the parameter remains only for
+// the benchmark module's callers; the next benchmark change drops it.
+func (t *BCSTable) Touch(d *DecayTable, tick uint64, coords []uint8, _ []float64) {
 	b, ok := t.cells[string(coords)]
 	if !ok {
-		b = NewBCS(t.dims)
-		b.Last = tick
+		b = &BCS{Last: tick}
 		t.cells[string(coords)] = b
 	}
-	b.Touch(d, tick, point)
+	b.Touch(d, tick)
 }
 
 // Sweep visits every base cell once, evicting those whose decayed
-// density at tick has fallen below eps and calling visit(key, b, dc)
-// for each survivor with its summary and decayed density. key is the
-// cell's interval-index vector as an immutable string (one byte per
-// dimension) — callers needing a mutable copy convert it themselves,
-// so the common no-collect sweep allocates nothing. Returns the number
-// of cells evicted.
-func (t *BCSTable) Sweep(d *DecayTable, tick uint64, eps float64, visit func(key string, b *BCS, dc float64)) int {
+// density at tick has fallen below eps and calling visit(key, dc) for
+// each survivor with its decayed density. key is the cell's
+// interval-index vector as an immutable string (one byte per
+// dimension) — callers needing a mutable copy convert it themselves.
+// Returns the number of cells evicted.
+func (t *BCSTable) Sweep(d *DecayTable, tick uint64, eps float64, visit func(key string, dc float64)) int {
 	evicted := 0
 	for key, b := range t.cells {
 		dc := b.DcAt(d, tick)
@@ -735,9 +731,7 @@ func (t *BCSTable) Sweep(d *DecayTable, tick uint64, eps float64, visit func(key
 			evicted++
 			continue
 		}
-		if visit != nil {
-			visit(key, b, dc)
-		}
+		visit(key, dc)
 	}
 	return evicted
 }

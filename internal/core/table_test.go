@@ -73,7 +73,7 @@ func TestBCSTableSweep(t *testing.T) {
 	tbl.Touch(decay, 1, []uint8{1, 2, 3}, []float64{0.1, 0.2, 0.3})
 	tbl.Touch(decay, 4000, []uint8{4, 5, 6}, []float64{0.4, 0.5, 0.6})
 	var got string
-	evicted := tbl.Sweep(decay, 4000, 1e-4, func(key string, b *BCS, dc float64) {
+	evicted := tbl.Sweep(decay, 4000, 1e-4, func(key string, dc float64) {
 		got = key
 		if dc < 0.9 {
 			t.Fatalf("warm cell reported with dc = %g", dc)

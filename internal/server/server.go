@@ -79,8 +79,7 @@ func (o *Options) defaults() {
 }
 
 // Server hosts a registry of tenant detectors behind the wire
-// protocol. Build with New, start with Serve or ListenAndServe, stop
-// with Shutdown.
+// protocol. Build with New, start with Serve, stop with Shutdown.
 type Server struct {
 	opts    Options
 	tenants map[string]*tenant
@@ -212,15 +211,6 @@ func (s *Server) Tenant(name string) (TenantStatus, bool) {
 		return TenantStatus{}, false
 	}
 	return t.status(), true
-}
-
-// ListenAndServe listens on addr and serves until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
 }
 
 // Serve accepts connections on ln until Shutdown closes it. Each

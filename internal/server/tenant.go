@@ -323,8 +323,10 @@ func (t *tenant) ingest(req *request) {
 		return
 	}
 	t.sinceCkpt += uint64(req.n)
-	req.resp <- response{t0: t0, verdicts: out, scores: scores}
+	// Publish before replying, so a client that reads the tenant's
+	// status right after Ingest returns sees this batch's tick.
 	t.publish()
+	req.resp <- response{t0: t0, verdicts: out, scores: scores}
 	t.maybeCheckpoint()
 }
 

@@ -48,8 +48,9 @@ const Magic = "SPOTSNP1"
 // meta section gained the auto-threshold fields (enabled flag, Risk,
 // Level), the top-K section gained the ranking-key rebase anchor, and
 // an EVT calibrator section trails the stream when auto-thresholding
-// is on.
-const Version uint32 = 3
+// is on; 4 — base-cell entries shrank to (key, density, last tick),
+// and the base-cell section is empty when no evolver is configured.
+const Version uint32 = 4
 
 // EndSection is the reserved section ID of the end-of-stream marker.
 const EndSection uint32 = 0xFFFFFFFF

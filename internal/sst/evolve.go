@@ -49,10 +49,8 @@ type SubspaceStats struct {
 type EpochStats struct {
 	// Tick is the stream tick the sweep ran at.
 	Tick uint64
-	// BaseTotal is the total decayed density across surviving base
-	// cells.
-	BaseTotal float64
-	// BaseCells are the surviving cells of the full-space table.
+	// BaseCells are the surviving cells of the full-space table,
+	// sorted by coordinates.
 	BaseCells []BaseCell
 	// Subspaces is indexed by subspace ID; entries for inactive slots
 	// are zero. Only populated cells that survived eviction count.

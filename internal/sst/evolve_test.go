@@ -99,8 +99,7 @@ func TestTopSparsePromotesSparsePair(t *testing.T) {
 	// pair containing dim 3 projects those to a sparse (1,6)-style
 	// combo; pairs without dim 3 see only the two dense cells.
 	stats := &EpochStats{
-		Tick:      100,
-		BaseTotal: 101,
+		Tick: 100,
 		BaseCells: []BaseCell{
 			{Coords: []uint8{1, 1, 1, 1}, Dc: 50},
 			{Coords: []uint8{6, 6, 6, 6}, Dc: 50},
@@ -127,8 +126,7 @@ func TestTopSparsePromotesSparsePair(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats2 := &EpochStats{
-		Tick:      200,
-		BaseTotal: 100,
+		Tick: 200,
 		BaseCells: []BaseCell{
 			{Coords: []uint8{1, 1, 1, 1}, Dc: 50},
 			{Coords: []uint8{6, 6, 6, 6}, Dc: 50},
@@ -168,7 +166,6 @@ func TestTopSparseRespectsCapacity(t *testing.T) {
 	}
 	stats := &EpochStats{
 		Tick:      100,
-		BaseTotal: 101,
 		BaseCells: baseCells,
 		Subspaces: make([]SubspaceStats, tmpl.Count()),
 	}
@@ -187,7 +184,6 @@ func TestTopSparseRespectsCapacity(t *testing.T) {
 
 	stats2 := &EpochStats{
 		Tick:      200,
-		BaseTotal: 101,
 		BaseCells: baseCells,
 		Subspaces: make([]SubspaceStats, tmpl.Count()),
 	}

@@ -14,8 +14,7 @@ import (
 // other pair does.
 func mogaStats(tmpl *Template, tick uint64) *EpochStats {
 	return &EpochStats{
-		Tick:      tick,
-		BaseTotal: 101,
+		Tick: tick,
 		BaseCells: []BaseCell{
 			{Coords: []uint8{1, 1, 1, 1, 1, 1}, Dc: 50},
 			{Coords: []uint8{6, 6, 6, 6, 6, 6}, Dc: 50},
@@ -104,8 +103,7 @@ func TestMOGADemotesStaleMember(t *testing.T) {
 	// Next epoch: no examples (supervision went quiet), both evolved
 	// subspaces swept with zero sparse cells.
 	stats := &EpochStats{
-		Tick:      200,
-		BaseTotal: 100,
+		Tick: 200,
 		BaseCells: []BaseCell{
 			{Coords: []uint8{1, 1, 1, 1, 1, 1}, Dc: 50},
 			{Coords: []uint8{6, 6, 6, 6, 6, 6}, Dc: 50},
@@ -145,8 +143,7 @@ func TestMOGADeterminism(t *testing.T) {
 		var demos []uint32
 		for epoch := 0; epoch < 4; epoch++ {
 			stats := &EpochStats{
-				Tick:      uint64(100 * (epoch + 1)),
-				BaseTotal: 101,
+				Tick: uint64(100 * (epoch + 1)),
 				BaseCells: []BaseCell{
 					{Coords: []uint8{1, 1, 1, 1, 1, 1, 1, 1}, Dc: 50},
 					{Coords: []uint8{6, 6, 6, 6, 6, 6, 6, 6}, Dc: 50},
@@ -297,8 +294,7 @@ func TestMOGALowDimensionalSpace(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := &EpochStats{
-		Tick:      100,
-		BaseTotal: 100,
+		Tick: 100,
 		BaseCells: []BaseCell{
 			{Coords: []uint8{1, 1}, Dc: 50},
 			{Coords: []uint8{6, 6}, Dc: 50},

@@ -8,14 +8,12 @@ import "testing"
 // base-cell shape a planted correlated anomaly leaves behind.
 func seedSnapshot(d, truthA, truthB int) *EpochStats {
 	var cells []BaseCell
-	total := 0.0
 	for i := 0; i < 20; i++ {
 		coords := make([]uint8, d)
 		for dim := 0; dim < d; dim++ {
 			coords[dim] = uint8(3 + (i+dim)%2)
 		}
 		cells = append(cells, BaseCell{Coords: coords, Dc: 10})
-		total += 10
 	}
 	for i := 0; i < 2; i++ {
 		coords := make([]uint8, d)
@@ -25,9 +23,8 @@ func seedSnapshot(d, truthA, truthB int) *EpochStats {
 		coords[truthA] = 7
 		coords[truthB] = uint8(7 - i) // distinct cells, both far out in the truth dims
 		cells = append(cells, BaseCell{Coords: coords, Dc: 0.05})
-		total += 0.05
 	}
-	return &EpochStats{BaseCells: cells, BaseTotal: total}
+	return &EpochStats{BaseCells: cells}
 }
 
 // TestSeedFromBaseConvergence pins the unsupervised guided-search win

@@ -25,7 +25,6 @@ func richStats(d, subspaces int) *EpochStats {
 		coords[0] = uint8(k % 2)
 		coords[1] = uint8(k / 2 % 2)
 		st.BaseCells = append(st.BaseCells, BaseCell{Coords: coords, Dc: 10})
-		st.BaseTotal += 10
 	}
 	for k := 0; k < 2; k++ {
 		coords := make([]uint8, d)
@@ -33,7 +32,6 @@ func richStats(d, subspaces int) *EpochStats {
 			coords[i] = uint8(6 + k)
 		}
 		st.BaseCells = append(st.BaseCells, BaseCell{Coords: coords, Dc: 0.01})
-		st.BaseTotal += 0.01
 	}
 	return st
 }

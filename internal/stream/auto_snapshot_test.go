@@ -151,11 +151,12 @@ func TestRestoreAutoConfigMismatch(t *testing.T) {
 }
 
 // TestSnapshotVersionSkew: a snapshot stamped with any other format
-// version — older (the pre-auto v2 layout) or newer — is rejected with
-// ErrVersion before any section is decoded.
+// version — older (the pre-auto v2 layout, the v3 layout with base-cell
+// moments) or newer — is rejected with ErrVersion before any section
+// is decoded.
 func TestSnapshotVersionSkew(t *testing.T) {
 	raw := autoSnapshotBytes(t, autoSnapConfig(1), 512)
-	for _, v := range []uint32{1, 2, snapshot.Version + 1} {
+	for _, v := range []uint32{1, 2, 3, snapshot.Version + 1} {
 		skewed := append([]byte(nil), raw...)
 		binary.LittleEndian.PutUint32(skewed[len(snapshot.Magic):], v)
 		if _, err := Restore(bytes.NewReader(skewed), autoSnapConfig(1)); !errors.Is(err, snapshot.ErrVersion) {
@@ -164,30 +165,55 @@ func TestSnapshotVersionSkew(t *testing.T) {
 	}
 }
 
-// patchSection returns a copy of raw with patch applied to the payload
-// of the first section carrying id, and that section's CRC recomputed —
-// so the corruption reaches semantic validation instead of dying at the
+// patchSection returns a copy of raw whose first section carrying id
+// has its payload replaced by patch's result (patch may edit the copy
+// it is given in place and return it, or return a payload of another
+// size), with the section's size and CRC recomputed — so the
+// corruption reaches semantic validation instead of dying at the
 // checksum gate.
-func patchSection(t *testing.T, raw []byte, id uint32, patch func(payload []byte)) []byte {
+func patchSection(t *testing.T, raw []byte, id uint32, patch func(payload []byte) []byte) []byte {
 	t.Helper()
-	out := append([]byte(nil), raw...)
 	off := len(snapshot.Magic) + 4
-	for off+12 <= len(out) {
-		sid := binary.LittleEndian.Uint32(out[off:])
-		size := int(binary.LittleEndian.Uint64(out[off+4:]))
+	for off+12 <= len(raw) {
+		sid := binary.LittleEndian.Uint32(raw[off:])
+		size := int(binary.LittleEndian.Uint64(raw[off+4:]))
 		if sid == id {
-			payload := out[off+12 : off+12+size]
-			patch(payload)
+			payload := patch(append([]byte(nil), raw[off+12:off+12+size]...))
+			out := append([]byte(nil), raw[:off+4]...)
+			out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
+			out = append(out, payload...)
 			crc := crc32.NewIEEE()
-			crc.Write(out[off : off+12])
-			crc.Write(payload)
-			binary.LittleEndian.PutUint32(out[off+12+size:], crc.Sum32())
-			return out
+			crc.Write(out[off:])
+			out = binary.LittleEndian.AppendUint32(out, crc.Sum32())
+			return append(out, raw[off+12+size+4:]...)
 		}
 		off += 12 + size + 4
 	}
 	t.Fatalf("section %d not found in %d snapshot bytes", id, len(raw))
 	return nil
+}
+
+// TestRestoreBaseCellsWithoutEvolver: a detector without an evolver
+// keeps no base-cell table, so its snapshots carry an empty base
+// section. A base section that holds a cell anyway, CRC intact, must
+// fail the restore with ErrCorrupt instead of reaching a table that
+// does not exist.
+func TestRestoreBaseCellsWithoutEvolver(t *testing.T) {
+	cfg := autoSnapConfig(1)
+	raw := autoSnapshotBytes(t, cfg, 512)
+	bad := patchSection(t, raw, secBase, func(p []byte) []byte {
+		if len(p) != 4 || binary.LittleEndian.Uint32(p) != 0 {
+			t.Fatalf("evolver-less base section is %d bytes, want a zero count", len(p))
+		}
+		p = binary.LittleEndian.AppendUint32(p[:0], 1)            // one cell
+		p = binary.LittleEndian.AppendUint32(p, uint32(cfg.Dims)) // key length
+		p = append(p, make([]byte, cfg.Dims)...)                  // key: interval 0 everywhere
+		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(1))
+		return binary.LittleEndian.AppendUint64(p, 512) // Last
+	})
+	if _, err := Restore(bytes.NewReader(bad), cfg); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("base cell in an evolver-less snapshot: got %v, want ErrCorrupt", err)
+	}
 }
 
 // TestRestoreAutoCorrupt: secAuto contents that pass the CRC but fail
@@ -203,8 +229,9 @@ func TestRestoreAutoCorrupt(t *testing.T) {
 		"effTrials negative":     math.Float64bits(-1),
 	}
 	for name, bits := range cases {
-		bad := patchSection(t, raw, secAutoID, func(p []byte) {
+		bad := patchSection(t, raw, secAutoID, func(p []byte) []byte {
 			binary.LittleEndian.PutUint64(p[0:], bits) // first field: effTrials
+			return p
 		})
 		if _, err := Restore(bytes.NewReader(bad), autoSnapConfig(1)); !errors.Is(err, snapshot.ErrCorrupt) {
 			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
@@ -212,8 +239,9 @@ func TestRestoreAutoCorrupt(t *testing.T) {
 	}
 	// A NaN smuggled into the rolling sample windows (the tail of the
 	// section) must be caught too: poison the last float in the payload.
-	bad := patchSection(t, raw, secAutoID, func(p []byte) {
+	bad := patchSection(t, raw, secAutoID, func(p []byte) []byte {
 		binary.LittleEndian.PutUint64(p[len(p)-8:], math.Float64bits(math.NaN()))
+		return p
 	})
 	if _, err := Restore(bytes.NewReader(bad), autoSnapConfig(1)); !errors.Is(err, snapshot.ErrCorrupt) {
 		t.Errorf("NaN tail sample: got %v, want ErrCorrupt", err)

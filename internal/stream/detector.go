@@ -257,7 +257,8 @@ type Detector struct {
 	tick   uint64
 
 	// Base Cell Summaries over the full d-dimensional space; owned by
-	// the dispatcher goroutine, updated while shard workers run.
+	// the dispatcher goroutine, updated while shard workers run. Nil
+	// without an Evolver: the evolver is the table's only reader.
 	bcs *core.BCSTable
 
 	// Discretization plane of the current batch: the n×Dims interval
@@ -399,7 +400,9 @@ func New(cfg Config) (*Detector, error) {
 		grid:  grid,
 		tmpl:  tmpl,
 		decay: decay,
-		bcs:   core.NewBCSTable(cfg.Dims),
+	}
+	if cfg.Evolver != nil {
+		d.bcs = core.NewBCSTable(cfg.Dims)
 	}
 	if cfg.TopK > 0 {
 		d.topk = newTopK(cfg.TopK, cfg.Lambda)
@@ -622,8 +625,10 @@ func (d *Detector) runBatch(flat []float64, n int, out []bool, scores []float64,
 	// The dispatcher goroutine owns the base-cell table; updating it
 	// here overlaps with the shard workers instead of serializing
 	// after them, reusing the plane rows it just computed.
-	for i := 0; i < n; i++ {
-		d.bcs.Touch(d.decay, t0+uint64(i)+1, plane[i*dims:(i+1)*dims], flat[i*dims:(i+1)*dims])
+	if d.bcs != nil {
+		for i := 0; i < n; i++ {
+			d.bcs.Touch(d.decay, t0+uint64(i)+1, plane[i*dims:(i+1)*dims], nil)
+		}
 	}
 	for range d.shards {
 		<-d.done
@@ -735,8 +740,14 @@ func (d *Detector) MarkExample(point []float64) error {
 // retained for supervised evolution.
 func (d *Detector) ExampleCount() int { return len(d.examples) }
 
-// BaseCells returns the number of populated base cells.
-func (d *Detector) BaseCells() int { return d.bcs.Len() }
+// BaseCells returns the number of populated base cells: 0 without an
+// Evolver, which is the base-cell table's only reader.
+func (d *Detector) BaseCells() int {
+	if d.bcs == nil {
+		return 0
+	}
+	return d.bcs.Len()
+}
 
 // ProjectedCells returns the number of populated SST cells across all
 // shards.

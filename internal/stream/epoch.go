@@ -72,15 +72,15 @@ func (d *Detector) maybeSweep() {
 
 // epochSweep performs one full sweep at the current tick: shard tables
 // first (eviction, per-subspace and per-arity accounting), then the
-// base-cell table, then the per-arity averages, then evolution. Sweeps
-// only run between the sub-batches of an ingest call, after runBatch
-// has started the shard workers, so with more than one shard the
-// per-shard table sweeps fan out to the workers — each shard's table
-// is exclusively its own and each subspace's perSub entry is written
-// by exactly one shard, so the parallel sweep produces bit-identical
-// statistics — while the dispatcher overlaps the base-cell sweep; the
-// epoch pause then shrinks from the sum of the table scans to roughly
-// the largest one.
+// base-cell table when an evolver reads it, then the per-arity
+// averages, then evolution. Sweeps only run between the sub-batches
+// of an ingest call, after runBatch has started the shard workers, so
+// with more than one shard the per-shard table sweeps fan out to the
+// workers — each shard's table is exclusively its own and each
+// subspace's perSub entry is written by exactly one shard, so the
+// parallel sweep produces bit-identical statistics — while the
+// dispatcher overlaps the base-cell sweep; the epoch pause then
+// shrinks from the sum of the table scans to roughly the largest one.
 func (d *Detector) epochSweep() {
 	start := time.Now()
 	tick := d.tick
@@ -105,24 +105,27 @@ func (d *Detector) epochSweep() {
 		}
 	}
 
-	collect := d.cfg.Evolver != nil
-	d.baseCells = d.baseCells[:0]
-	// The arena backs every snapshot Coords slice; pre-sizing it to the
-	// pre-sweep table footprint (an upper bound on survivors) keeps the
-	// collect pass to a single allocation at most.
-	if need := d.bcs.Len() * d.cfg.Dims; cap(d.coordArena) < need {
-		d.coordArena = make([]uint8, 0, need)
-	}
-	d.coordArena = d.coordArena[:0]
-	baseTotal := 0.0
-	d.counters.evictedBase += uint64(d.bcs.Sweep(d.decay, tick, eps, func(key string, _ *core.BCS, dc float64) {
-		baseTotal += dc
-		if collect {
+	// The base-cell table exists only for the evolver (nil without
+	// one). The arena backs every snapshot Coords slice; pre-sizing it
+	// to the pre-sweep table footprint (an upper bound on survivors)
+	// keeps the collect pass to a single allocation at most. Map
+	// iteration order is randomized, so the snapshot is sorted to keep
+	// evolver decisions reproducible run to run.
+	if d.bcs != nil {
+		d.baseCells = d.baseCells[:0]
+		if need := d.bcs.Len() * d.cfg.Dims; cap(d.coordArena) < need {
+			d.coordArena = make([]uint8, 0, need)
+		}
+		d.coordArena = d.coordArena[:0]
+		d.counters.evictedBase += uint64(d.bcs.Sweep(d.decay, tick, eps, func(key string, dc float64) {
 			off := len(d.coordArena)
 			d.coordArena = append(d.coordArena, key...)
 			d.baseCells = append(d.baseCells, sst.BaseCell{Coords: d.coordArena[off:], Dc: dc})
-		}
-	}))
+		}))
+		sort.Slice(d.baseCells, func(i, j int) bool {
+			return bytes.Compare(d.baseCells[i].Coords, d.baseCells[j].Coords) < 0
+		})
+	}
 	if parallel {
 		for range d.shards {
 			<-d.done
@@ -131,11 +134,6 @@ func (d *Detector) epochSweep() {
 			d.counters.evictedProjected += uint64(sh.sweepEvicted)
 		}
 	}
-	// Map iteration order is randomized; sort the snapshot so evolver
-	// decisions are reproducible run to run.
-	sort.Slice(d.baseCells, func(i, j int) bool {
-		return bytes.Compare(d.baseCells[i].Coords, d.baseCells[j].Coords) < 0
-	})
 
 	// Per-arity populated averages, reduced from the per-subspace sums
 	// in subspace-ID order so the result does not depend on how cells
@@ -167,7 +165,7 @@ func (d *Detector) epochSweep() {
 		d.autoRefit()
 	}
 
-	if collect {
+	if d.cfg.Evolver != nil {
 		// Expire labeled examples past their TTL before the evolver
 		// sees them; the set is kept in arrival (tick) order, so the
 		// survivors are a suffix.
@@ -183,7 +181,6 @@ func (d *Detector) epochSweep() {
 		}
 		stats := sst.EpochStats{
 			Tick:      tick,
-			BaseTotal: baseTotal,
 			BaseCells: d.baseCells,
 			Subspaces: d.perSub,
 			Examples:  d.examples,
@@ -262,7 +259,9 @@ type Stats struct {
 	Tick uint64
 	// BaseCells and ProjectedCells are the current summary-table sizes;
 	// SummaryEntries is their sum — the quantity the epoch engine
-	// bounds on drifting streams.
+	// bounds on drifting streams. The base-cell table exists only for
+	// an Evolver, so BaseCells (and EvictedBase below) stay zero
+	// without one.
 	BaseCells      int
 	ProjectedCells int
 	SummaryEntries int

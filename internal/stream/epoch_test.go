@@ -10,8 +10,10 @@ import (
 // TestEvictionBoundsMemoryUnderDrift is the memory-bound regression
 // test: on a jump-drifting stream (cluster centers relocate every 1000
 // points, abandoning their old cells forever) the summary tables of an
-// epoch-sweeping detector plateau, while a sweep-free detector grows
-// without bound.
+// epoch-sweeping detector plateau — the base-cell table included, which
+// exists when an evolver reads it — while a sweep-free detector grows
+// without bound. A detector without an evolver keeps no base cells at
+// all.
 func TestEvictionBoundsMemoryUnderDrift(t *testing.T) {
 	const (
 		d     = 8
@@ -19,7 +21,7 @@ func TestEvictionBoundsMemoryUnderDrift(t *testing.T) {
 		mid   = 12000
 		drift = 1000
 	)
-	mkCfg := func(epoch uint64) Config {
+	mkCfg := func(epoch uint64, evolve bool) Config {
 		cfg := DefaultConfig(d)
 		cfg.MaxSubspaceDim = 2
 		cfg.Shards = 2
@@ -30,12 +32,19 @@ func TestEvictionBoundsMemoryUnderDrift(t *testing.T) {
 		if epoch == 0 {
 			cfg.RDPopulatedThreshold = 0 // requires sweeps
 		}
+		if evolve {
+			ev, err := sst.NewTopSparse(sst.TopSparseConfig{Arity: 2, TopS: 2, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Evolver = ev
+		}
 		return cfg
 	}
 	gcfg := bench.DefaultGenConfig(d)
 	gcfg.DriftPeriod = drift
 
-	run := func(cfg Config) (midEntries, endEntries int, s Stats) {
+	run := func(cfg Config) (midStats, endStats Stats) {
 		det, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -47,31 +56,41 @@ func TestEvictionBoundsMemoryUnderDrift(t *testing.T) {
 			gen.Next(buf)
 			det.Process(buf)
 			if i+1 == mid {
-				midEntries = det.Stats().SummaryEntries
+				midStats = det.Stats()
 			}
 		}
-		s = det.Stats()
-		return midEntries, s.SummaryEntries, s
+		return midStats, det.Stats()
 	}
 
-	evictMid, evictEnd, evictStats := run(mkCfg(500))
-	_, growEnd, _ := run(mkCfg(0))
-	t.Logf("evicting: mid=%d end=%d (evicted %d projected + %d base over %d sweeps); no sweeps: end=%d",
-		evictMid, evictEnd, evictStats.EvictedProjected, evictStats.EvictedBase, evictStats.Sweeps, growEnd)
+	evictMid, evict := run(mkCfg(500, true))
+	_, plain := run(mkCfg(500, false))
+	_, grow := run(mkCfg(0, false))
+	t.Logf("evicting: mid=%d end=%d (base cells %d → %d; evicted %d projected + %d base over %d sweeps); no evolver: %d base cells; no sweeps: %d projected",
+		evictMid.SummaryEntries, evict.SummaryEntries, evictMid.BaseCells, evict.BaseCells,
+		evict.EvictedProjected, evict.EvictedBase, evict.Sweeps, plain.BaseCells, grow.ProjectedCells)
 
-	if evictStats.Sweeps == 0 || evictStats.EvictedProjected == 0 {
-		t.Fatal("epoch engine never swept or never evicted — test exercises nothing")
+	if evict.Sweeps == 0 || evict.EvictedProjected == 0 || evict.EvictedBase == 0 {
+		t.Fatal("epoch engine never swept or never evicted from both tables — test exercises nothing")
 	}
 	// Plateau: the second half of the stream must not meaningfully grow
-	// the table (steady state is reached once eviction latency <
+	// either table (steady state is reached once eviction latency <
 	// stream age, a few drift generations in).
-	if float64(evictEnd) > 1.25*float64(evictMid) {
-		t.Errorf("summary entries still growing under eviction: mid=%d end=%d", evictMid, evictEnd)
+	if float64(evict.SummaryEntries) > 1.25*float64(evictMid.SummaryEntries) {
+		t.Errorf("summary entries still growing under eviction: mid=%d end=%d", evictMid.SummaryEntries, evict.SummaryEntries)
+	}
+	if float64(evict.BaseCells) > 1.25*float64(evictMid.BaseCells) {
+		t.Errorf("base cells still growing under eviction: mid=%d end=%d", evictMid.BaseCells, evict.BaseCells)
+	}
+	// Without an evolver nothing reads base cells, so none are kept.
+	if plain.Sweeps == 0 || plain.BaseCells != 0 || plain.EvictedBase != 0 {
+		t.Errorf("evolver-less detector: %d sweeps, %d base cells, %d evicted base; want sweeps and no base cells",
+			plain.Sweeps, plain.BaseCells, plain.EvictedBase)
 	}
 	// Contrast: without sweeps the same stream accumulates every cell
 	// ever touched.
-	if growEnd < 2*evictEnd {
-		t.Errorf("sweep-free detector ended with %d entries, expected ≥ 2× the evicting detector's %d — drift too weak to matter", growEnd, evictEnd)
+	if grow.ProjectedCells < 2*evict.ProjectedCells {
+		t.Errorf("sweep-free detector ended with %d projected cells, expected ≥ 2× the evicting detector's %d — drift too weak to matter",
+			grow.ProjectedCells, evict.ProjectedCells)
 	}
 }
 

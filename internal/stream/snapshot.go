@@ -30,20 +30,22 @@ import (
 // such boundary by construction (ProcessBatch joins them before
 // returning), so no extra synchronization is needed and none is taken.
 //
-// Wire format (snapshot format version 3): the sections below inside
+// Wire format (snapshot format version 4): the sections below inside
 // the internal/snapshot codec's framing (magic, format version, CRC32
 // per section), in this fixed order. Version 2 extended secMeta with
 // the scoring fields (Scoring flag, top-K capacity) and added the
 // trailing secScore heap dump; version 3 extended secMeta with the
 // auto-threshold fields (enabled flag, Risk, Level), prefixed
 // secScore with the ranking-key rebase anchor, and added the trailing
-// secAuto calibrator dump. Checkpoints of any other version are
-// rejected with snapshot.ErrVersion per the skew policy.
+// secAuto calibrator dump; version 4 shrank each secBase entry to
+// (key, Dc, Last), and secBase is empty for a detector without an
+// evolver. Checkpoints of any other version are rejected with
+// snapshot.ErrVersion per the skew policy.
 const (
 	secMeta     uint32 = 1 // geometry + tick; validated against Config
 	secTemplate uint32 = 2 // evolved SST slots, tombstones, free list
 	secShard    uint32 = 3 // one per shard: subspace states + cells
-	secBase     uint32 = 4 // base-cell table, sorted by cell key
+	secBase     uint32 = 4 // base-cell table, sorted by cell key (empty without an evolver)
 	secExamples uint32 = 5 // labeled outlier examples
 	secCounters uint32 = 6 // popAvg + epoch-engine lifetime counters
 	secEvolver  uint32 = 7 // evolver state (present iff marshalable)
@@ -163,15 +165,19 @@ func (d *Detector) Snapshot(w io.Writer) error {
 
 	// Map iteration is randomized; sort the base cells by key so the
 	// same state always snapshots to the same bytes (the round-trip
-	// byte-equality test pins this).
+	// byte-equality test pins this). Without an evolver there is no
+	// base-cell table and the section holds a zero count.
 	type baseEntry struct {
 		key string
 		b   *core.BCS
 	}
-	base := make([]baseEntry, 0, d.bcs.Len())
-	d.bcs.Range(func(key string, b *core.BCS) {
-		base = append(base, baseEntry{key, b})
-	})
+	var base []baseEntry
+	if d.bcs != nil {
+		base = make([]baseEntry, 0, d.bcs.Len())
+		d.bcs.Range(func(key string, b *core.BCS) {
+			base = append(base, baseEntry{key, b})
+		})
+	}
 	sort.Slice(base, func(i, j int) bool { return base[i].key < base[j].key })
 	sw.Begin(secBase)
 	sw.U32(uint32(len(base)))
@@ -179,12 +185,6 @@ func (d *Detector) Snapshot(w io.Writer) error {
 		sw.Bytes32([]byte(e.key))
 		sw.F64(e.b.Dc)
 		sw.U64(e.b.Last)
-		for _, v := range e.b.LS {
-			sw.F64(v)
-		}
-		for _, v := range e.b.SS {
-			sw.F64(v)
-		}
 	}
 	if err := sw.End(); err != nil {
 		return err
@@ -457,16 +457,13 @@ func Restore(r io.Reader, cfg Config) (*Detector, error) {
 	if err != nil {
 		return nil, err
 	}
-	nBase := sec.Count(1)
+	nBase := sec.Count(4 + 8 + 8) // key length prefix, Dc, Last
+	if nBase > 0 && d.bcs == nil {
+		return nil, corruptf("%d base cells in a snapshot of a detector without an evolver", nBase)
+	}
 	for i := 0; i < nBase; i++ {
 		key := sec.Bytes32()
-		b := &core.BCS{Dc: sec.F64(), Last: sec.U64(), LS: make([]float64, cfg.Dims), SS: make([]float64, cfg.Dims)}
-		for j := range b.LS {
-			b.LS[j] = sec.F64()
-		}
-		for j := range b.SS {
-			b.SS[j] = sec.F64()
-		}
+		b := &core.BCS{Dc: sec.F64(), Last: sec.U64()}
 		if sec.Err() != nil {
 			break
 		}
