@@ -1,4 +1,4 @@
-.PHONY: build test microbench vet fmt-check inline-check lint fuzz cover e2e chaos
+.PHONY: build test microbench vet fmt-check inline-check gate-check lint fuzz cover e2e chaos
 
 build:
 	go build ./...
@@ -18,6 +18,13 @@ fmt-check:
 inline-check:
 	./scripts/inlinecheck.sh
 
+# Fails naming every test, benchmark or fuzz target on the checked-in
+# list (scripts/gated_tests.txt) that is no longer defined: the CI steps
+# and make targets below select them by name, and a pattern that
+# matches nothing passes.
+gate-check:
+	./scripts/gatecheck.sh
+
 # Short native-fuzzing smoke over the cell-key round-trip property and
 # the snapshot codec (mutated checkpoint bytes must decode with
 # matching CRCs or fail with a typed error — never panic or over-
@@ -29,9 +36,10 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzScoreStateRoundTrip -fuzztime 10s ./internal/stream
 
 # lint = gofmt cleanliness + vet + the hot-path inlining guard + the
-# repo's godoc discipline (every exported symbol in internal/ and cmd/
-# must carry a doc comment, see cmd/doccheck) + the fuzz smoke run.
-lint: fmt-check vet inline-check fuzz
+# gate-name guard + the repo's godoc discipline (every exported symbol
+# in internal/ and cmd/ must carry a doc comment, see cmd/doccheck) +
+# the fuzz smoke run.
+lint: fmt-check vet inline-check gate-check fuzz
 	go run ./cmd/doccheck ./internal ./cmd
 
 # Coverage gate: fails when internal/... test coverage drops below the

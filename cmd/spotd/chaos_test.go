@@ -267,7 +267,9 @@ func TestChaosFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := make([]bool, totalBatches*chaosBatch)
-	det.ProcessBatch(flat, want)
+	if _, err := det.ProcessBatchScoredErr(flat, want, nil); err != nil {
+		t.Fatal(err)
+	}
 	det.Close()
 
 	// Two node slots with fixed addresses; each replicates to the other

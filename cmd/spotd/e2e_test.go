@@ -132,7 +132,9 @@ func oracleVerdicts(t *testing.T, flat []float64) []bool {
 	}
 	defer det.Close()
 	want := make([]bool, e2eBatch*e2eBatches)
-	det.ProcessBatch(flat, want)
+	if _, err := det.ProcessBatchScoredErr(flat, want, nil); err != nil {
+		t.Fatal(err)
+	}
 	return want
 }
 

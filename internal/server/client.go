@@ -321,7 +321,8 @@ func (c *Client) Snapshot(tenant string) ([]byte, error) {
 // Restore replaces the tenant's detector state with a snapshot taken
 // elsewhere — the receiving half of live migration. The tenant's
 // configuration must match the snapshot (ErrConflict otherwise), and
-// on success the migrated state is immediately checkpointed.
+// on success a tenant with a checkpoint directory immediately saves
+// the received bytes as its newest generation.
 func (c *Client) Restore(tenant string, snap []byte) error {
 	head, err := appendName(nil, tenant)
 	if err != nil {

@@ -22,7 +22,9 @@ func TestLiveMigration(t *testing.T) {
 	}
 	defer oracle.Close()
 	want := make([]bool, batch*batches)
-	oracle.ProcessBatch(flat, want)
+	if _, err := oracle.ProcessBatchScoredErr(flat, want, nil); err != nil {
+		t.Fatal(err)
+	}
 
 	sA, addrA := startServer(t, Options{}, []TenantConfig{{Name: "m", Stream: cfg}})
 	sB, addrB := startServer(t, Options{}, []TenantConfig{{Name: "m", Stream: cfg, Dir: t.TempDir()}})

@@ -1,9 +1,14 @@
 package server
 
 import (
+	"bytes"
+	"context"
 	"errors"
+	"math"
+	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"spot/internal/stream"
 )
@@ -214,5 +219,92 @@ func TestSnapshotTenantInProcess(t *testing.T) {
 	}
 	if _, _, err := s.SnapshotTenant("nope"); !errors.Is(err, ErrUnknownTenant) {
 		t.Fatalf("unknown tenant: got %v, want ErrUnknownTenant", err)
+	}
+}
+
+// TestApplyStoresReceivedBytes pins the receivers' one apply path: an
+// accepted replication push and a migration restore each save the
+// snapshot bytes they received as the newest checkpoint generation,
+// without re-encoding the detector they just decoded. The restore leg
+// lands in a receiver with another shard count, which therefore stores
+// the sender's layout; a server recovering from that generation
+// re-deals the subspaces as the live restore did and continues the
+// primary's stream bit for bit.
+func TestApplyStoresReceivedBytes(t *testing.T) {
+	const dims, batch = 3, 30
+	cfg := testStream(dims)
+	flat := genPoints(23, 4*batch, dims)
+	_, addrP := startServer(t, Options{ID: "p"}, []TenantConfig{{Name: "r", Stream: cfg}})
+	cP := dial(t, addrP)
+	snap, tick := primarySnap(t, cP, flat, batch, dims, 2)
+
+	stored := func(c *Client, leg string) TenantStatus {
+		t.Helper()
+		ts, err := c.TenantStats("r")
+		if err != nil {
+			t.Fatalf("%s: %v", leg, err)
+		}
+		got, err := os.ReadFile(ts.Checkpoint.LatestPath)
+		if err != nil {
+			t.Fatalf("%s: newest generation: %v", leg, err)
+		}
+		if !bytes.Equal(got, snap) {
+			t.Errorf("%s: newest generation (%d bytes) is not the %d bytes received", leg, len(got), len(snap))
+		}
+		if ts.Stream.Checkpoints != 0 {
+			t.Errorf("%s: receiver encoded its detector %d times, want 0", leg, ts.Stream.Checkpoints)
+		}
+		return ts
+	}
+
+	_, addrS := startServer(t, Options{ID: "s", Role: RoleStandby},
+		[]TenantConfig{{Name: "r", Stream: cfg, Dir: t.TempDir()}})
+	cS := dial(t, addrS)
+	if err := cS.Replicate("r", "p", 1, tick, snap); err != nil {
+		t.Fatal(err)
+	}
+	if ts := stored(cS, "replicate"); ts.ReplAccepted != 1 || ts.Tick != tick {
+		t.Fatalf("replicate: accepted %d at tick %d, want 1 at %d", ts.ReplAccepted, ts.Tick, tick)
+	}
+
+	other := cfg
+	other.Shards = 2
+	dir := t.TempDir()
+	sM, addrM := startServer(t, Options{ID: "m"}, []TenantConfig{{Name: "r", Stream: other, Dir: dir}})
+	cM := dial(t, addrM)
+	if err := cM.Restore("r", snap); err != nil {
+		t.Fatal(err)
+	}
+	stored(cM, "restore")
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := sM.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	sR, addrR := startServer(t, Options{ID: "m"}, []TenantConfig{{Name: "r", Stream: other, Dir: dir}})
+	if ts, _ := sR.Tenant("r"); ts.RecoveredTick != tick {
+		t.Fatalf("recovered at tick %d, want %d", ts.RecoveredTick, tick)
+	}
+	cR := dial(t, addrR)
+	for i := 2; i < 4; i++ {
+		chunk := flat[i*batch*dims : (i+1)*batch*dims]
+		want, err := cP.Ingest("r", chunk, batch, IngestOptions{Scored: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := cR.Ingest("r", chunk, batch, IngestOptions{Scored: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.T0 != want.T0 {
+			t.Fatalf("batch %d: recovered T0 %d, primary %d", i, got.T0, want.T0)
+		}
+		for j := range want.Verdicts {
+			if got.Verdicts[j] != want.Verdicts[j] || math.Float64bits(got.Scores[j]) != math.Float64bits(want.Scores[j]) {
+				t.Fatalf("batch %d point %d: recovered (%v, %g), primary (%v, %g)",
+					i, j, got.Verdicts[j], got.Scores[j], want.Verdicts[j], want.Scores[j])
+			}
+		}
 	}
 }

@@ -284,8 +284,12 @@ func TestSharedDecayTenants(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantA, wantB := make([]bool, 30), make([]bool, 30)
-		oa.ProcessBatch(chunkA, wantA)
-		ob.ProcessBatch(chunkB, wantB)
+		if _, err := oa.ProcessBatchScoredErr(chunkA, wantA, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ob.ProcessBatchScoredErr(chunkB, wantB, nil); err != nil {
+			t.Fatal(err)
+		}
 		for j := 0; j < 30; j++ {
 			if resA.Verdicts[j] != wantA[j] || resB.Verdicts[j] != wantB[j] {
 				t.Fatalf("batch %d point %d: tenant verdicts diverged from isolated oracles", i, j)
@@ -310,7 +314,9 @@ func TestDrainAndRecover(t *testing.T) {
 	}
 	defer oracle.Close()
 	want := make([]bool, 4*batch)
-	oracle.ProcessBatch(flat, want)
+	if _, err := oracle.ProcessBatchScoredErr(flat, want, nil); err != nil {
+		t.Fatal(err)
+	}
 
 	s1, err := New(Options{}, []TenantConfig{{Name: "a", Stream: cfg, Dir: dir, Keep: 2}})
 	if err != nil {

@@ -251,7 +251,7 @@ func (t *tenant) finalCheckpoint() {
 			t.lastCkptErr.Store(&msg)
 		}
 	}()
-	t.checkpoint()
+	t.checkpoint(t.det.Snapshot)
 }
 
 // handle serves one admitted request with per-request panic
@@ -284,7 +284,10 @@ func (t *tenant) handle(req *request) {
 		}
 		req.resp <- response{snap: buf.Bytes(), t0: t.det.Tick()}
 	case reqRestore:
-		t.restore(req)
+		// The receiving half of live migration.
+		if t.apply(req) {
+			req.resp <- response{}
+		}
 	case reqReplicate:
 		t.replicate(req)
 	case reqCheckpoint:
@@ -292,7 +295,7 @@ func (t *tenant) handle(req *request) {
 			req.resp <- response{code: CodeBadRequest, msg: "tenant has no checkpoint directory"}
 			return
 		}
-		path, err := t.checkpoint()
+		path, err := t.checkpoint(t.det.Snapshot)
 		if err != nil {
 			req.resp <- response{code: CodeInternal, msg: err.Error()}
 			return
@@ -311,14 +314,10 @@ func (t *tenant) ingest(req *request) {
 	t0 := t.det.Tick()
 	out := make([]bool, req.n)
 	var scores []float64
-	var err error
 	if req.scored {
 		scores = make([]float64, req.n)
-		_, err = t.det.ProcessBatchScoredErr(req.flat, out, scores)
-	} else {
-		_, err = t.det.ProcessBatchErr(req.flat, out)
 	}
-	if err != nil {
+	if _, err := t.det.ProcessBatchScoredErr(req.flat, out, scores); err != nil {
 		req.resp <- response{code: streamErrCode(err), msg: err.Error()}
 		return
 	}
@@ -330,35 +329,6 @@ func (t *tenant) ingest(req *request) {
 	t.maybeCheckpoint()
 }
 
-// restore swaps in a detector rebuilt from a migrated snapshot — the
-// receiving half of live migration. The old detector is closed (its
-// goroutines joined) only after the new one decoded cleanly, and the
-// restored state is immediately checkpointed so a crash right after
-// migration recovers the migrated stream, not the pre-migration one.
-func (t *tenant) restore(req *request) {
-	d, err := stream.Restore(bytes.NewReader(req.snap), t.cfg)
-	if err != nil {
-		code := uint8(CodeBadRequest)
-		if errors.Is(err, stream.ErrConfigMismatch) {
-			code = CodeConflict
-		}
-		req.resp <- response{code: code, msg: err.Error()}
-		return
-	}
-	t.det.Close()
-	t.det = d
-	t.sinceCkpt = 0
-	if t.keeper != nil {
-		if _, err := t.checkpoint(); err != nil {
-			// The migrated state is live but not yet durable; the
-			// failure is recorded and the next cadence retries.
-			t.sinceCkpt = 1
-		}
-	}
-	t.publish()
-	req.resp <- response{}
-}
-
 // replicate applies one shipped snapshot generation — the standby's
 // receiving half of warm-standby replication. The snapshot's framing
 // and section CRCs are verified before anything is touched, then the
@@ -367,9 +337,9 @@ func (t *tenant) restore(req *request) {
 // divergence signal and is refused with CodeStale, leaving the current
 // state live. A new incarnation (failover or primary restart) resets
 // the baseline and is followed wholesale, even backwards — the serving
-// primary is authoritative. Accepted generations ride the restore
-// path, so they are immediately checkpointed when the standby has a
-// keeper: a standby crash recovers warm.
+// primary is authoritative. Accepted generations take the migration
+// path (apply), so a standby with a keeper stores each one as it
+// arrived: a standby crash recovers warm.
 func (t *tenant) replicate(req *request) {
 	if err := snapshot.Verify(bytes.NewReader(req.snap)); err != nil {
 		t.replCorrupt.Add(1)
@@ -388,24 +358,9 @@ func (t *tenant) replicate(req *request) {
 			return
 		}
 	}
-	d, err := stream.Restore(bytes.NewReader(req.snap), t.cfg)
-	if err != nil {
-		code := uint8(CodeBadRequest)
-		if errors.Is(err, stream.ErrConfigMismatch) {
-			code = CodeConflict
-		}
-		req.resp <- response{code: code, msg: err.Error()}
+	if !t.apply(req) {
 		return
 	}
-	if d.Tick() != req.replTick {
-		// The shipped header lied about the state it carries — refuse
-		// rather than track a tick the detector does not hold.
-		d.Close()
-		req.resp <- response{code: CodeBadRequest, msg: fmt.Sprintf("snapshot tick %d does not match declared %d", d.Tick(), req.replTick)}
-		return
-	}
-	t.det.Close()
-	t.det = d
 	t.replID = req.replID
 	t.replSeq = req.replSeq
 	t.replTick = req.replTick
@@ -414,14 +369,52 @@ func (t *tenant) replicate(req *request) {
 	t.replLastSeq.Store(req.replSeq)
 	t.replLastTick.Store(req.replTick)
 	t.replAccepted.Add(1)
+	req.resp <- response{}
+}
+
+// apply swaps in a detector restored from a received snapshot (req.snap)
+// — the shared path of migration and replication. A replicated
+// generation must also carry the tick its header declared. The old
+// detector is closed only after the new one decoded cleanly. With a
+// keeper the received bytes are then saved verbatim, so a crash right
+// after the swap recovers the applied state, not the previous one.
+// Under the same config those bytes are exactly what re-encoding the
+// decoded detector would produce (snapshot → restore → snapshot is
+// byte-stable); a receiver with another shard count stores the
+// sender's layout, which recovery re-deals just as this restore did.
+// On refusal apply sends the error reply and reports false.
+func (t *tenant) apply(req *request) bool {
+	d, err := stream.Restore(bytes.NewReader(req.snap), t.cfg)
+	if err != nil {
+		code := uint8(CodeBadRequest)
+		if errors.Is(err, stream.ErrConfigMismatch) {
+			code = CodeConflict
+		}
+		req.resp <- response{code: code, msg: err.Error()}
+		return false
+	}
+	if req.kind == reqReplicate && d.Tick() != req.replTick {
+		// The shipped header lied about the state it carries — refuse
+		// rather than track a tick the detector does not hold.
+		d.Close()
+		req.resp <- response{code: CodeBadRequest, msg: fmt.Sprintf("snapshot tick %d does not match declared %d", d.Tick(), req.replTick)}
+		return false
+	}
+	t.det.Close()
+	t.det = d
 	t.sinceCkpt = 0
 	if t.keeper != nil {
-		if _, err := t.checkpoint(); err != nil {
+		if _, err := t.checkpoint(func(w io.Writer) error {
+			_, err := w.Write(req.snap)
+			return err
+		}); err != nil {
+			// The applied state is live but not yet durable; the
+			// failure is recorded and the next cadence retries.
 			t.sinceCkpt = 1
 		}
 	}
 	t.publish()
-	req.resp <- response{}
+	return true
 }
 
 // maybeCheckpoint saves a generation when either cadence — points
@@ -438,19 +431,20 @@ func (t *tenant) maybeCheckpoint() {
 		due = true
 	}
 	if due {
-		t.checkpoint()
+		t.checkpoint(t.det.Snapshot)
 	}
 }
 
-// checkpoint saves one generation through the keeper's
-// write-temp-fsync-rename discipline and resets the cadence clock on
-// success.
-func (t *tenant) checkpoint() (string, error) {
+// checkpoint saves one generation — write streams it: the live
+// detector's Snapshot, or the bytes of an applied snapshot — through
+// the keeper's write-temp-fsync-rename discipline and resets the
+// cadence clock on success.
+func (t *tenant) checkpoint(write func(io.Writer) error) (string, error) {
 	path, _, err := t.keeper.Save(func(w io.Writer) error {
 		if t.saveWrap != nil {
 			w = t.saveWrap(w)
 		}
-		return t.det.Snapshot(w)
+		return write(w)
 	})
 	if err != nil {
 		t.ckptFails.Add(1)

@@ -42,7 +42,7 @@ func TestRestoreAutoEquivalence(t *testing.T) {
 		defer det.Close()
 		out := make([]bool, n)
 		for i := 0; i < n; i++ {
-			out[i] = det.Process(point(i))
+			out[i] = processPoint(t, det, point(i))
 		}
 		return out, det.Stats()
 	}
@@ -57,7 +57,7 @@ func TestRestoreAutoEquivalence(t *testing.T) {
 		}
 		got := make([]bool, n)
 		for i := 0; i < killAt; i++ {
-			got[i] = det.Process(point(i))
+			got[i] = processPoint(t, det, point(i))
 		}
 		var buf bytes.Buffer
 		if err := det.Snapshot(&buf); err != nil {
@@ -70,7 +70,7 @@ func TestRestoreAutoEquivalence(t *testing.T) {
 			t.Fatalf("%d->%d shards: restore: %v", from, to, err)
 		}
 		for i := killAt; i < n; i++ {
-			got[i] = restored.Process(point(i))
+			got[i] = processPoint(t, restored, point(i))
 		}
 		for i := range oracleV {
 			if got[i] != oracleV[i] {
@@ -114,7 +114,7 @@ func autoSnapshotBytes(t *testing.T, cfg Config, points int) []byte {
 	next := uniformStream(67, cfg.Dims)
 	for i := 0; i < points; i++ {
 		next(buf)
-		det.Process(buf)
+		processPoint(t, det, buf)
 	}
 	var out bytes.Buffer
 	if err := det.Snapshot(&out); err != nil {

@@ -69,7 +69,7 @@ func TestAutoThresholdCalibrates(t *testing.T) {
 	buf := make([]float64, cfg.Dims)
 	for i := 0; i < 4*int(cfg.EpochTicks); i++ {
 		next(buf)
-		det.Process(buf)
+		processPoint(t, det, buf)
 	}
 	st := det.Stats()
 	if st.Calibrations == 0 {
@@ -101,7 +101,7 @@ func TestAutoThresholdOffStatsZero(t *testing.T) {
 	buf := make([]float64, cfg.Dims)
 	for i := 0; i < 2*int(cfg.EpochTicks); i++ {
 		next(buf)
-		det.Process(buf)
+		processPoint(t, det, buf)
 	}
 	st := det.Stats()
 	if st.Calibrations != 0 || st.CalibrationSamples != 0 || st.CalibratedThresholds != 0 || st.AutoEffTrials != 0 {
@@ -129,14 +129,14 @@ func TestAutoThresholdFlaggedRateBand(t *testing.T) {
 	// effective-trials divisor.
 	for i := 0; i < 40*int(cfg.EpochTicks); i++ {
 		next(buf)
-		det.Process(buf)
+		processPoint(t, det, buf)
 	}
 	// Measure phase.
 	const measure = 30720
 	flags := 0
 	for i := 0; i < measure; i++ {
 		next(buf)
-		if det.Process(buf) {
+		if processPoint(t, det, buf) {
 			flags++
 		}
 	}
@@ -163,7 +163,7 @@ func TestAutoThresholdRefitsUnderDrift(t *testing.T) {
 		dims   int
 		risk   float64
 		seed   int64
-		batch  int // points per ProcessBatch call
+		batch  int // points per ingest call
 		warm   int // points fed before each measure window
 		steady int // points measured before the shift (0: none)
 		drift  int // points measured after the shift
@@ -195,7 +195,9 @@ func TestAutoThresholdRefitsUnderDrift(t *testing.T) {
 					for i := range flat {
 						flat[i] = rng.Float64() * scale
 					}
-					det.ProcessBatch(flat, out)
+					if _, err := det.ProcessBatchScoredErr(flat, out, nil); err != nil {
+						t.Fatal(err)
+					}
 					for _, f := range out {
 						if f {
 							flags++
@@ -250,7 +252,7 @@ func TestAutoThresholdShardAndBatchInvariance(t *testing.T) {
 		defer det.Close()
 		out := make([]bool, n)
 		for i := 0; i < n; i++ {
-			out[i] = det.Process(flat[i*d : (i+1)*d])
+			out[i] = processPoint(t, det, flat[i*d:(i+1)*d])
 		}
 		return out
 	}
@@ -266,7 +268,9 @@ func TestAutoThresholdShardAndBatchInvariance(t *testing.T) {
 		out := make([]bool, n)
 		done := 0
 		for _, chunk := range plan {
-			det.ProcessBatch(flat[done*d:(done+chunk)*d], out[done:done+chunk])
+			if _, err := det.ProcessBatchScoredErr(flat[done*d:(done+chunk)*d], out[done:done+chunk], nil); err != nil {
+				t.Fatal(err)
+			}
 			done += chunk
 		}
 		return out

@@ -35,11 +35,15 @@ func BenchmarkDetector(b *testing.B) {
 				}
 				// Populate the cell tables before timing.
 				for i := range flats {
-					det.ProcessBatch(flats[i], out)
+					if _, err := det.ProcessBatchScoredErr(flats[i], out, nil); err != nil {
+						b.Fatal(err)
+					}
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					det.ProcessBatch(flats[i%pool], out)
+					if _, err := det.ProcessBatchScoredErr(flats[i%pool], out, nil); err != nil {
+						b.Fatal(err)
+					}
 				}
 				b.StopTimer()
 				pts := float64(b.N * batch)

@@ -23,22 +23,21 @@ func closedConfig(shards int) Config {
 // TestCloseIdempotent pins the double-Close contract: the second and
 // every later Close is a no-op, with and without started workers.
 func TestCloseIdempotent(t *testing.T) {
+	flat := make([]float64, 8*4)
+	out := make([]bool, 8)
 	for _, workers := range []bool{false, true} {
 		d, err := New(closedConfig(2))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if workers {
-			flat := make([]float64, 8*4)
-			out := make([]bool, 8)
-			d.ProcessBatch(flat, out)
-		}
-		if d.Closed() {
-			t.Fatalf("workers=%v: Closed() true before Close", workers)
+			if _, err := d.ProcessBatchScoredErr(flat, out, nil); err != nil {
+				t.Fatalf("workers=%v: ingest before Close: %v", workers, err)
+			}
 		}
 		d.Close()
-		if !d.Closed() {
-			t.Fatalf("workers=%v: Closed() false after Close", workers)
+		if _, err := d.ProcessBatchScoredErr(flat, out, nil); !errors.Is(err, ErrClosed) {
+			t.Fatalf("workers=%v: ingest after Close: got %v, want ErrClosed", workers, err)
 		}
 		d.Close() // must not panic (double close of worker channels)
 		d.Close()
@@ -46,9 +45,8 @@ func TestCloseIdempotent(t *testing.T) {
 }
 
 // TestClosedEntryPoints drives every ingestion and snapshot entry
-// point against a closed detector: the Err variants must return typed
-// ErrClosed, the panicking wrappers must panic with it — and in
-// either case before any state is touched.
+// point against a closed detector: each must return typed ErrClosed
+// before any state is touched.
 func TestClosedEntryPoints(t *testing.T) {
 	point := []float64{0.1, 0.2, 0.3, 0.4}
 	flat := append(append([]float64{}, point...), point...)
@@ -59,30 +57,21 @@ func TestClosedEntryPoints(t *testing.T) {
 		name string
 		call func(d *Detector) error
 	}{
-		{"ProcessErr", func(d *Detector) error {
-			_, err := d.ProcessErr(point)
+		{"one-point ingest", func(d *Detector) error {
+			_, err := d.ProcessBatchScoredErr(point, out[:1], nil)
 			return err
 		}},
-		{"ProcessBatchErr", func(d *Detector) error {
-			_, err := d.ProcessBatchErr(flat, out)
+		{"batch ingest", func(d *Detector) error {
+			_, err := d.ProcessBatchScoredErr(flat, out, nil)
 			return err
 		}},
-		{"ProcessBatchScoredErr", func(d *Detector) error {
+		{"scored batch ingest", func(d *Detector) error {
 			_, err := d.ProcessBatchScoredErr(flat, out, scores)
 			return err
 		}},
 		{"Snapshot", func(d *Detector) error {
 			return d.Snapshot(io.Discard)
 		}},
-	}
-	panicCases := []struct {
-		name string
-		call func(d *Detector)
-	}{
-		{"Process", func(d *Detector) { d.Process(point) }},
-		{"ProcessBatch", func(d *Detector) { d.ProcessBatch(flat, out) }},
-		{"ProcessScored", func(d *Detector) { d.ProcessScored(point) }},
-		{"ProcessBatchScored", func(d *Detector) { d.ProcessBatchScored(flat, out, scores) }},
 	}
 
 	for _, shards := range []int{1, 2} {
@@ -92,7 +81,9 @@ func TestClosedEntryPoints(t *testing.T) {
 		}
 		// Ingest a little so the closed detector holds real state the
 		// rejected calls must not have mutated.
-		d.ProcessBatch(flat, out)
+		if _, err := d.ProcessBatchScoredErr(flat, out, nil); err != nil {
+			t.Fatal(err)
+		}
 		before := d.Stats()
 		d.Close()
 
@@ -100,18 +91,6 @@ func TestClosedEntryPoints(t *testing.T) {
 			if err := tc.call(d); !errors.Is(err, ErrClosed) {
 				t.Errorf("shards=%d: %s on closed detector: got %v, want ErrClosed", shards, tc.name, err)
 			}
-		}
-		for _, tc := range panicCases {
-			func() {
-				defer func() {
-					r := recover()
-					err, ok := r.(error)
-					if !ok || !errors.Is(err, ErrClosed) {
-						t.Errorf("shards=%d: %s on closed detector: panic %v, want ErrClosed", shards, tc.name, r)
-					}
-				}()
-				tc.call(d)
-			}()
 		}
 		if after := d.Stats(); after != before {
 			t.Errorf("shards=%d: rejected calls mutated state: before %+v, after %+v", shards, before, after)
@@ -121,7 +100,7 @@ func TestClosedEntryPoints(t *testing.T) {
 
 // TestClosedScoringDisabledOrder pins the error precedence on a
 // closed non-scoring detector: ErrClosed wins over ErrScoringDisabled
-// in both the panicking and Err-returning scored variants.
+// for a score buffer of any length, the empty one included.
 func TestClosedScoringDisabledOrder(t *testing.T) {
 	cfg := DefaultConfig(4)
 	d, err := New(cfg)
@@ -130,17 +109,10 @@ func TestClosedScoringDisabledOrder(t *testing.T) {
 	}
 	d.Close()
 	point := []float64{0.1, 0.2, 0.3, 0.4}
-	func() {
-		defer func() {
-			err, ok := recover().(error)
-			if !ok || !errors.Is(err, ErrClosed) {
-				t.Errorf("ProcessScored on closed non-scoring detector: want ErrClosed, got %v", err)
-			}
-		}()
-		d.ProcessScored(point)
-	}()
-	if _, err := d.ProcessBatchScoredErr(point, make([]bool, 1), make([]float64, 1)); !errors.Is(err, ErrClosed) {
-		t.Errorf("ProcessBatchScoredErr on closed non-scoring detector: want ErrClosed, got %v", err)
+	for _, scores := range [][]float64{make([]float64, 1), {}} {
+		if _, err := d.ProcessBatchScoredErr(point, make([]bool, 1), scores); !errors.Is(err, ErrClosed) {
+			t.Errorf("scored ingest (%d score slots) on closed non-scoring detector: want ErrClosed, got %v", len(scores), err)
+		}
 	}
 }
 
@@ -178,8 +150,12 @@ func TestSharedDecayTable(t *testing.T) {
 	}
 	outA := make([]bool, n)
 	outB := make([]bool, n)
-	a.ProcessBatch(flat, outA)
-	b.ProcessBatch(flat, outB)
+	if _, err := a.ProcessBatchScoredErr(flat, outA, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.ProcessBatchScoredErr(flat, outB, nil); err != nil {
+		t.Fatal(err)
+	}
 	for i := range outA {
 		if outA[i] != outB[i] {
 			t.Fatalf("verdict %d diverges between private and shared decay table", i)
@@ -196,8 +172,12 @@ func TestSharedDecayTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	a.ProcessBatch(flat, outA)
-	c.ProcessBatch(flat, outB)
+	if _, err := a.ProcessBatchScoredErr(flat, outA, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ProcessBatchScoredErr(flat, outB, nil); err != nil {
+		t.Fatal(err)
+	}
 	for i := range outA {
 		if outA[i] != outB[i] {
 			t.Fatalf("post-restore verdict %d diverges with shared decay table", i)

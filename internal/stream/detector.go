@@ -8,10 +8,11 @@
 // subspaces). Each shard exclusively owns the cell table, totals and
 // representative set of its subspaces, so the hot path takes no locks —
 // a shard's state is only ever touched by the goroutine processing it.
-// Every ingest call hands its points to one worker goroutine per shard
-// and synchronizes only at batch boundaries via channels; Process is a
-// one-point batch. Verdicts are identical regardless of shard count and
-// of how the stream is cut into batches.
+// The one ingest call, ProcessBatchScoredErr, hands its points to one
+// worker goroutine per shard and synchronizes only at batch boundaries
+// via channels; a pointwise caller passes a one-point batch. Verdicts
+// are identical regardless of shard count and of how the stream is cut
+// into batches.
 //
 // Epoch engine: when Config.EpochTicks is set, the detector pauses at
 // every multiple of it — between internally split sub-batches, always
@@ -35,21 +36,21 @@ import (
 	"spot/internal/sst"
 )
 
-// Typed errors of the ingestion API, returned by ProcessBatchErr (the
-// panicking ProcessBatch wraps them): a caller's malformed batch must
-// not take the detector's learned state down with it.
+// Typed errors of the ingestion API, returned by ProcessBatchScoredErr
+// before any state is touched: a caller's malformed batch must not take
+// the detector's learned state down with it.
 var (
 	// ErrBatchLength marks a flat batch whose length is not a multiple
-	// of the configured dimensionality, or a single point (ProcessErr)
-	// whose length is not exactly Dims.
+	// of the configured dimensionality, or a MarkExample point whose
+	// length is not exactly Dims.
 	ErrBatchLength = errors.New("stream: batch length not a multiple of Dims")
 	// ErrVerdictBuffer marks a verdict buffer shorter than the batch.
 	ErrVerdictBuffer = errors.New("stream: verdict buffer shorter than batch")
-	// ErrScoreBuffer marks a score buffer shorter than the batch in a
-	// ProcessBatchScored call.
+	// ErrScoreBuffer marks a non-nil score buffer shorter than the
+	// batch.
 	ErrScoreBuffer = errors.New("stream: score buffer shorter than batch")
-	// ErrScoringDisabled marks a scored-API call (ProcessScored,
-	// ProcessBatchScored) on a detector built without Config.Scoring.
+	// ErrScoringDisabled marks a non-nil score buffer passed to a
+	// detector built without Config.Scoring.
 	ErrScoringDisabled = errors.New("stream: scoring is not enabled")
 	// ErrClosed marks a call on a detector after Close.
 	ErrClosed = errors.New("stream: detector is closed")
@@ -135,7 +136,8 @@ type Config struct {
 	// sweeps all summary tables (eviction, density accounting, SST
 	// evolution). 0 disables the epoch engine — summaries then grow
 	// with every distinct cell ever touched, which is only safe for
-	// stationary streams.
+	// stationary streams. At most math.MaxInt64: batches are split at
+	// epoch boundaries in int arithmetic.
 	EpochTicks uint64
 	// EvictEpsilon is the eviction floor ε: a summary whose decayed
 	// density at sweep time is below it is dropped. An evicted cell
@@ -168,8 +170,10 @@ type Config struct {
 	ExampleTTL uint64
 	// Scoring retains per-subspace deviation magnitudes through the
 	// verdict pass and folds them into one calibrated ensemble outlier
-	// score per flagged point (see ProcessScored, ProcessBatchScored,
-	// Explain). Strictly additive: verdict bits are identical with
+	// score per flagged point (see ProcessBatchScoredErr, Explain,
+	// TopK). A scoring detector maintains attribution and the top-K on
+	// every ingest call; a caller that wants the scores passes a score
+	// buffer. Strictly additive: verdict bits are identical with
 	// scoring on or off, and the hot path stays allocation-free — the
 	// extra cost is recording (subspace, cell, measures, severity)
 	// entries for flagged pairs and one merge-sort-fold per batch over
@@ -245,7 +249,7 @@ type job struct {
 }
 
 // Detector is SPOT's streaming engine. It is not safe for concurrent
-// use by multiple callers; one goroutine drives Process/ProcessBatch
+// use by multiple callers; one goroutine drives ProcessBatchScoredErr
 // and the detector fans work out internally.
 type Detector struct {
 	cfg    Config
@@ -289,8 +293,8 @@ type Detector struct {
 	// Scoring state (Config.Scoring): the merged, (point, subspace)-
 	// sorted attribution entries of the most recent ingest call (what
 	// Explain reads), the preallocated sorter over it, the internal
-	// score buffer for unscored ingest calls, and the streaming top-K
-	// heap (nil unless Config.TopK > 0).
+	// score buffer for ingest calls that pass nil scores, and the
+	// streaming top-K heap (nil unless Config.TopK > 0).
 	attr         attrBuf
 	sorter       attrSorter
 	scoreScratch []float64
@@ -328,6 +332,9 @@ func New(cfg Config) (*Detector, error) {
 	if cfg.Decay != nil && cfg.Decay.Lambda() != cfg.Lambda {
 		return nil, fmt.Errorf("stream: shared decay table built for Lambda=%g, config says %g",
 			cfg.Decay.Lambda(), cfg.Lambda)
+	}
+	if cfg.EpochTicks > math.MaxInt64 {
+		return nil, fmt.Errorf("stream: EpochTicks must be at most %d (math.MaxInt64), got %d", int64(math.MaxInt64), cfg.EpochTicks)
 	}
 	if cfg.EvictEpsilon < 0 {
 		return nil, fmt.Errorf("stream: EvictEpsilon must be non-negative, got %g", cfg.EvictEpsilon)
@@ -427,123 +434,49 @@ func New(cfg Config) (*Detector, error) {
 }
 
 // Template exposes the detector's SST. Callers must treat it as
-// read-only and must not hold references across Process/ProcessBatch
-// calls when an Evolver is configured (the epoch path mutates it).
+// read-only and must not hold references across ingest calls when an
+// Evolver is configured (the epoch path mutates it).
 func (d *Detector) Template() *sst.Template { return d.tmpl }
 
 // Tick returns the number of points ingested so far.
 func (d *Detector) Tick() uint64 { return d.tick }
 
-// Process ingests one d-dimensional point and reports whether any SST
-// subspace places it in an outlying cell. It is a one-point ProcessBatch
-// — the same shard pass, discretization plane and verdict evaluator —
-// so its verdicts are the batch path's by construction. For points that
-// land in already-populated cells it performs zero heap allocations;
-// the amortized exception is the epoch sweep every Config.EpochTicks
-// points.
+// ProcessBatchScoredErr is the detector's one ingest call. It ingests a
+// flat row-major batch (len(flat) = n*Dims), writes one verdict per
+// point into out[0:n] and returns n; a pointwise caller passes one
+// Dims-long point with a 1-slot out. The batch is processed by all
+// shard workers in parallel, and a batch that crosses an epoch
+// boundary is split internally so sweeps still run at exact epoch
+// ticks: verdicts do not depend on how the stream is cut into calls.
+// Once the cells a batch touches exist, the call performs zero heap
+// allocations; the amortized exception is the epoch sweep every
+// Config.EpochTicks points.
 //
-// Input contract: out-of-range finite coordinates clamp to edge
-// cells; a point whose length is not Dims, or that carries a NaN or
-// ±Inf coordinate, panics with ErrBatchLength or ErrNonFinite before
-// any state is touched (ProcessErr returns them as errors instead).
-func (d *Detector) Process(point []float64) bool {
-	out, err := d.ProcessErr(point)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// ProcessErr is Process with validation instead of panics: a closed
-// detector, a point whose length is not Dims or a point carrying a
-// non-finite coordinate returns a typed error (ErrClosed,
-// ErrBatchLength, ErrNonFinite) before any state is touched. The
-// length check is exact — a batch-shaped slice of several points is
-// rejected, not ingested.
-func (d *Detector) ProcessErr(point []float64) (bool, error) {
-	if err := d.checkPoint(point); err != nil {
-		return false, err
-	}
-	var out [1]bool
-	_, err := d.ProcessBatchErr(point, out[:])
-	return out[0], err
-}
-
-// checkPoint rejects a call on a closed detector and a single point
-// whose length is not exactly Dims.
-func (d *Detector) checkPoint(point []float64) error {
-	if d.closed {
-		return ErrClosed
-	}
-	if len(point) != d.cfg.Dims {
-		return fmt.Errorf("%w: point has %d values, want %d", ErrBatchLength, len(point), d.cfg.Dims)
-	}
-	return nil
-}
-
-// checkFinite rejects NaN and ±Inf coordinates; v-v is 0 for every
-// finite v and NaN for the three non-finite values, so the scan is
-// one subtract-and-compare per value.
-func checkFinite(flat []float64, dims int) error {
-	for i, v := range flat {
-		if v-v != 0 {
-			return fmt.Errorf("%w: value %g at point %d dim %d", ErrNonFinite, v, i/dims, i%dims)
-		}
-	}
-	return nil
-}
-
-// ProcessBatch ingests a flat row-major batch (len(flat) = n*Dims) and
-// writes one verdict per point into out (len(out) ≥ n), returning n.
-// The batch is processed by all shard workers in parallel; a batch that
-// crosses an epoch boundary is split internally so sweeps still run at
-// exact epoch ticks, making verdicts identical to feeding the points to
-// Process one by one.
+// scores is optional. nil asks for no scores; a scoring detector still
+// maintains attribution (Explain) and the top-K. A non-nil buffer
+// receives each point's ensemble outlier score in scores[0:n] — 0 when
+// no subspace flagged the point, otherwise the noisy-OR combination of
+// the flagged subspaces' severities in (0,1], so scores[i] > 0 iff
+// out[i] — and requires Config.Scoring.
 //
-// ProcessBatch panics on a malformed call (batch length not a multiple
-// of Dims, verdict buffer shorter than the batch, detector closed);
-// callers that prefer an error use ProcessBatchErr, which this is a
-// thin wrapper over.
-func (d *Detector) ProcessBatch(flat []float64, out []bool) int {
-	n, err := d.ProcessBatchErr(flat, out)
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
-
-// ProcessBatchErr is ProcessBatch with validation instead of panics:
-// a malformed call returns a typed error (ErrBatchLength,
-// ErrVerdictBuffer, ErrClosed) before any state is touched, so a
-// buggy caller cannot corrupt or crash the detector's learned state.
-// Note the verdict-buffer contract validates against the point count
-// n = len(flat)/Dims, not len(flat): out needs one slot per point.
-// Only out[0:n] is written; longer buffers keep their tail.
-func (d *Detector) ProcessBatchErr(flat []float64, out []bool) (int, error) {
+// Input contract: out-of-range finite coordinates clamp to edge cells.
+// A malformed call returns a typed error before any state is touched,
+// checked in this order: ErrClosed after Close; ErrScoringDisabled for
+// a non-nil scores (even an empty one) without Config.Scoring;
+// ErrBatchLength when len(flat) is not a multiple of Dims;
+// ErrVerdictBuffer when out has fewer than n slots (so a multi-point
+// slice passed with a 1-slot out is rejected, not ingested);
+// ErrNonFinite when a coordinate is NaN or ±Inf; ErrScoreBuffer when a
+// non-nil scores has fewer than n slots. An empty batch returns
+// (0, nil). Only out[0:n] and scores[0:n] are written; longer buffers
+// keep their tail.
+func (d *Detector) ProcessBatchScoredErr(flat []float64, out []bool, scores []float64) (int, error) {
 	if d.closed {
 		return 0, ErrClosed
 	}
-	n, err := d.validateBatch(flat, out)
-	if err != nil || n == 0 {
-		return n, err
+	if scores != nil && !d.cfg.Scoring {
+		return 0, ErrScoringDisabled
 	}
-	var scores []float64
-	if d.cfg.Scoring {
-		// Unscored ingest still maintains attribution and the top-K
-		// (scoring is a property of the detector, not of the call);
-		// the scores land in the internal scratch.
-		if cap(d.scoreScratch) < n {
-			d.scoreScratch = make([]float64, n)
-		}
-		scores = d.scoreScratch[:n]
-	}
-	d.processBatches(flat, n, out, scores)
-	return n, nil
-}
-
-// validateBatch applies the shared batch-shape checks and returns the
-// point count.
-func (d *Detector) validateBatch(flat []float64, out []bool) (int, error) {
 	if len(flat)%d.cfg.Dims != 0 {
 		return 0, fmt.Errorf("%w: %d values over %d dims", ErrBatchLength, len(flat), d.cfg.Dims)
 	}
@@ -557,7 +490,35 @@ func (d *Detector) validateBatch(flat []float64, out []bool) (int, error) {
 	if err := checkFinite(flat, d.cfg.Dims); err != nil {
 		return 0, err
 	}
+	if scores != nil && len(scores) < n {
+		return 0, fmt.Errorf("%w: %d slots for %d points", ErrScoreBuffer, len(scores), n)
+	}
+	switch {
+	case scores != nil:
+		scores = scores[:n]
+	case d.cfg.Scoring:
+		// A nil-scores call still maintains attribution and the top-K
+		// (scoring is a property of the detector, not of the call); the
+		// scores land in the internal scratch.
+		if cap(d.scoreScratch) < n {
+			d.scoreScratch = make([]float64, n)
+		}
+		scores = d.scoreScratch[:n]
+	}
+	d.processBatches(flat, n, out, scores)
 	return n, nil
+}
+
+// checkFinite rejects NaN and ±Inf coordinates; v-v is 0 for every
+// finite v and NaN for the three non-finite values, so the scan is
+// one subtract-and-compare per value.
+func checkFinite(flat []float64, dims int) error {
+	for i, v := range flat {
+		if v-v != 0 {
+			return fmt.Errorf("%w: value %g at point %d dim %d", ErrNonFinite, v, i/dims, i%dims)
+		}
+	}
+	return nil
 }
 
 // processBatches splits a validated batch at epoch boundaries and runs
@@ -681,11 +642,9 @@ func (d *Detector) startWorkers() {
 // down (or swapping in a migrated replacement) can free or reuse its
 // resources immediately. Close is idempotent — the second and every
 // later call is a no-op — and safe on a detector whose workers never
-// started. After Close every ingestion and snapshot entry point fails
-// with ErrClosed (the Err variants return it, the panicking wrappers
-// panic with it); Close must be called from the goroutine that drives
-// Process/ProcessBatch, between calls, like every other non-ingest
-// operation.
+// started. After Close the ingest call, Snapshot and MarkExample fail
+// with ErrClosed; Close must be called from the goroutine that drives
+// ingestion, between calls, like every other non-ingest operation.
 func (d *Detector) Close() {
 	if d.closed {
 		return
@@ -699,10 +658,6 @@ func (d *Detector) Close() {
 	}
 }
 
-// Closed reports whether Close has been called. Safe from the driving
-// goroutine only, like Close itself.
-func (d *Detector) Closed() bool { return d.closed }
-
 // MarkExample records the point as a caller-confirmed outlier example —
 // the supervised feedback channel of the paper's example-driven SST
 // group. The detector keeps the example's full-space interval
@@ -712,16 +667,18 @@ func (d *Detector) Closed() bool { return d.closed }
 // look maximally anomalous. At most Config.MaxExamples are retained
 // (oldest dropped first) and Config.ExampleTTL bounds their age.
 //
-// MarkExample must be called from the goroutine driving Process /
-// ProcessBatch, between calls — typically right after a flagged point
-// is confirmed by the caller's feedback loop. It never touches the
-// ingestion hot path: no shard state is read or written. A closed
-// detector, a point whose length is not Dims or a non-finite
-// coordinate returns a typed error (ErrClosed, ErrBatchLength,
-// ErrNonFinite) and records nothing.
+// MarkExample must be called from the goroutine driving ingestion,
+// between calls — typically right after a flagged point is confirmed
+// by the caller's feedback loop. It never touches the ingestion hot
+// path: no shard state is read or written. A closed detector, a point
+// whose length is not Dims or a non-finite coordinate returns a typed
+// error (ErrClosed, ErrBatchLength, ErrNonFinite) and records nothing.
 func (d *Detector) MarkExample(point []float64) error {
-	if err := d.checkPoint(point); err != nil {
-		return err
+	if d.closed {
+		return ErrClosed
+	}
+	if len(point) != d.cfg.Dims {
+		return fmt.Errorf("%w: point has %d values, want %d", ErrBatchLength, len(point), d.cfg.Dims)
 	}
 	if err := checkFinite(point, d.cfg.Dims); err != nil {
 		return err
@@ -734,27 +691,4 @@ func (d *Detector) MarkExample(point []float64) error {
 	}
 	d.examples = append(d.examples, sst.Example{Coords: coords, Tick: d.tick})
 	return nil
-}
-
-// ExampleCount returns the number of labeled examples currently
-// retained for supervised evolution.
-func (d *Detector) ExampleCount() int { return len(d.examples) }
-
-// BaseCells returns the number of populated base cells: 0 without an
-// Evolver, which is the base-cell table's only reader.
-func (d *Detector) BaseCells() int {
-	if d.bcs == nil {
-		return 0
-	}
-	return d.bcs.Len()
-}
-
-// ProjectedCells returns the number of populated SST cells across all
-// shards.
-func (d *Detector) ProjectedCells() int {
-	n := 0
-	for _, sh := range d.shards {
-		n += sh.table.Len()
-	}
-	return n
 }

@@ -1,11 +1,25 @@
 package stream
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"spot/internal/bench"
 )
+
+// processPoint feeds one point through the detector's ingest call — a
+// one-point batch with nil scores — and returns its verdict; an error
+// fails the test.
+func processPoint(tb testing.TB, d *Detector, point []float64) bool {
+	tb.Helper()
+	var out [1]bool
+	if _, err := d.ProcessBatchScoredErr(point, out[:], nil); err != nil {
+		tb.Fatalf("ingest: %v", err)
+	}
+	return out[0]
+}
 
 // smallBatchPlan cuts n points into random batch sizes under
 // coalesceMinBatch, so every touch of a run fed by it takes the fused
@@ -47,7 +61,7 @@ func TestDetectorFindsPlantedOutliers(t *testing.T) {
 	var planted, caught, inliers, falsePos int
 	for i := 0; i < n; i++ {
 		isOut := gen.Next(buf)
-		flag := det.Process(buf)
+		flag := processPoint(t, det, buf)
 		if i < warmup {
 			continue
 		}
@@ -97,7 +111,7 @@ func TestShardInvariance(t *testing.T) {
 		v := make([]bool, n)
 		for i := 0; i < n; i++ {
 			gen.Next(buf)
-			v[i] = det.Process(buf)
+			v[i] = processPoint(t, det, buf)
 		}
 		det.Close()
 		verdicts = append(verdicts, v)
@@ -111,8 +125,8 @@ func TestShardInvariance(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesPointwise checks ProcessBatch produces exactly the
-// verdicts of point-by-point Process on the same stream — in 256-point
+// TestBatchMatchesPointwise checks batch ingest produces exactly the
+// verdicts of one-point calls on the same stream — in 256-point
 // batches, which take the coalesced run fold, and in batches under
 // coalesceMinBatch, which take the fused per-point path, pinning the
 // three-way equivalence the coalesced fold argues for.
@@ -138,7 +152,7 @@ func TestBatchMatchesPointwise(t *testing.T) {
 	defer pointwise.Close()
 	want := make([]bool, n)
 	for i := 0; i < n; i++ {
-		want[i] = pointwise.Process(flat[i*d : (i+1)*d])
+		want[i] = processPoint(t, pointwise, flat[i*d:(i+1)*d])
 	}
 
 	var fixed []int
@@ -155,7 +169,9 @@ func TestBatchMatchesPointwise(t *testing.T) {
 		got := make([]bool, n)
 		off := 0
 		for _, b := range leg.plan {
-			batched.ProcessBatch(flat[off*d:(off+b)*d], got[off:off+b])
+			if _, err := batched.ProcessBatchScoredErr(flat[off*d:(off+b)*d], got[off:off+b], nil); err != nil {
+				t.Fatal(err)
+			}
 			off += b
 		}
 		for i := range want {
@@ -176,8 +192,8 @@ func TestBatchMatchesPointwise(t *testing.T) {
 	}
 }
 
-// TestProcessZeroAllocs verifies the acceptance criterion: Process
-// performs zero heap allocations per point once the point's cells
+// TestProcessZeroAllocs verifies the acceptance criterion: a one-point
+// ingest call performs zero heap allocations once the point's cells
 // exist.
 func TestProcessZeroAllocs(t *testing.T) {
 	const d = 12
@@ -193,16 +209,16 @@ func TestProcessZeroAllocs(t *testing.T) {
 	buf := make([]float64, d)
 	for i := 0; i < 500; i++ {
 		gen.Next(buf)
-		det.Process(buf)
+		processPoint(t, det, buf)
 	}
 	point := make([]float64, d)
 	copy(point, buf)
-	det.Process(point) // ensure every cell this point touches exists
+	processPoint(t, det, point) // ensure every cell this point touches exists
 	allocs := testing.AllocsPerRun(200, func() {
-		det.Process(point)
+		processPoint(t, det, point)
 	})
 	if allocs != 0 {
-		t.Errorf("Process allocates %.1f objects/point on the hot path, want 0", allocs)
+		t.Errorf("one-point ingest allocates %.1f objects/point on the hot path, want 0", allocs)
 	}
 }
 
@@ -222,12 +238,12 @@ func TestWarmupSuppression(t *testing.T) {
 	buf := make([]float64, d)
 	for i := 0; i < 50; i++ {
 		gen.Next(buf)
-		if det.Process(buf) {
+		if processPoint(t, det, buf) {
 			t.Fatalf("point %d flagged during warmup", i)
 		}
 	}
 	outlier := []float64{0.99, 0.99, 0.99, 0.99, 0.99}
-	if det.Process(outlier) {
+	if processPoint(t, det, outlier) {
 		t.Fatal("outlier flagged during warmup")
 	}
 }
@@ -249,14 +265,14 @@ func TestIRSDFlagsDisplacedCell(t *testing.T) {
 	defer det.Close()
 	// A tight cluster near 0.5...
 	for i := 0; i < 400; i++ {
-		det.Process([]float64{0.5 + 0.01*float64(i%5-2)})
+		processPoint(t, det, []float64{0.5 + 0.01*float64(i%5-2)})
 	}
 	// ...then a point in a far, empty interval: z ≈ |0.95-0.5|/σ is
 	// huge, IRSD ≈ 0.
-	if !det.Process([]float64{0.95}) {
+	if !processPoint(t, det, []float64{0.95}) {
 		t.Error("far displaced point not flagged by IRSD")
 	}
-	if det.Process([]float64{0.5}) {
+	if processPoint(t, det, []float64{0.5}) {
 		t.Error("cluster-center point flagged by IRSD")
 	}
 }
@@ -278,14 +294,14 @@ func TestIkRDFlagsFarCell(t *testing.T) {
 	defer det.Close()
 	// Dense mass in interval 0 (phi=8 over [0,1): x < 0.125).
 	for i := 0; i < 400; i++ {
-		det.Process([]float64{0.06})
+		processPoint(t, det, []float64{0.06})
 	}
 	// Interval 7: grid distance 7 of max 7 -> IkRD = 0 -> flagged.
-	if !det.Process([]float64{0.99}) {
+	if !processPoint(t, det, []float64{0.99}) {
 		t.Error("far cell not flagged by IkRD")
 	}
 	// Interval 1: distance 1 -> IkRD ≈ 0.857 -> not flagged.
-	if det.Process([]float64{0.2}) {
+	if processPoint(t, det, []float64{0.2}) {
 		t.Error("adjacent cell flagged by IkRD")
 	}
 }
@@ -305,6 +321,42 @@ func TestConfigValidation(t *testing.T) {
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("config %d accepted, want error", i)
+		}
+	}
+}
+
+// TestEpochTicksBound: New rejects an EpochTicks above math.MaxInt64,
+// where splitting a batch at the next epoch boundary would overflow
+// int, naming the bound; the largest accepted value ingests normally,
+// with and without AutoThreshold (whose sample-slot count rounds
+// EpochTicks up).
+func TestEpochTicksBound(t *testing.T) {
+	for _, e := range []uint64{1 << 63, math.MaxUint64} {
+		cfg := DefaultConfig(4)
+		cfg.EpochTicks = e
+		if det, err := New(cfg); err == nil || !strings.Contains(err.Error(), "math.MaxInt64") {
+			if det != nil {
+				det.Close()
+			}
+			t.Errorf("EpochTicks %d: New returned %v, want an error naming math.MaxInt64", e, err)
+		}
+	}
+	for _, auto := range []bool{false, true} {
+		cfg := DefaultConfig(4)
+		cfg.EpochTicks = math.MaxInt64
+		if auto {
+			cfg.AutoThreshold = AutoThreshold{Risk: 1e-3}
+		}
+		det, err := New(cfg)
+		if err != nil {
+			t.Fatalf("auto=%v: EpochTicks MaxInt64 rejected: %v", auto, err)
+		}
+		defer det.Close()
+		if n, err := det.ProcessBatchScoredErr(make([]float64, 2*cfg.Dims), make([]bool, 2), nil); n != 2 || err != nil {
+			t.Fatalf("auto=%v: 2-point batch: got (%d, %v), want (2, nil)", auto, n, err)
+		}
+		if det.Tick() != 2 {
+			t.Fatalf("auto=%v: tick %d after a 2-point batch, want 2", auto, det.Tick())
 		}
 	}
 }

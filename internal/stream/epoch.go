@@ -253,7 +253,8 @@ func (d *Detector) applyEvolution(ev sst.Evolution) {
 }
 
 // Stats is a point-in-time snapshot of the detector's summary-table
-// sizes and epoch-engine lifetime counters.
+// sizes, retained examples and lifetime counters — the one query for
+// them: the detector has no per-count accessors.
 type Stats struct {
 	// Tick is the number of points ingested.
 	Tick uint64
@@ -322,11 +323,16 @@ type Stats struct {
 	AutoEffTrials        float64
 }
 
-// Stats returns the current snapshot. Safe to call between
-// Process/ProcessBatch calls only.
+// Stats returns the current snapshot. Safe to call between ingest
+// calls only.
 func (d *Detector) Stats() Stats {
+	var baseCells, projCells int
+	if d.bcs != nil {
+		baseCells = d.bcs.Len()
+	}
 	var coalPoints, coalDistinct, coalGroupings uint64
 	for _, sh := range d.shards {
+		projCells += sh.table.Len()
 		coalPoints += sh.coalPoints
 		coalDistinct += sh.coalDistinct
 		coalGroupings += sh.coalGroupings
@@ -348,9 +354,9 @@ func (d *Detector) Stats() Stats {
 	}
 	return Stats{
 		Tick:                 d.tick,
-		BaseCells:            d.BaseCells(),
-		ProjectedCells:       d.ProjectedCells(),
-		SummaryEntries:       d.BaseCells() + d.ProjectedCells(),
+		BaseCells:            baseCells,
+		ProjectedCells:       projCells,
+		SummaryEntries:       baseCells + projCells,
 		Sweeps:               d.counters.sweeps,
 		SweepNanos:           d.counters.sweepNanos,
 		EvictedProjected:     d.counters.evictedProjected,

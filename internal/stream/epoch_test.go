@@ -54,7 +54,7 @@ func TestEvictionBoundsMemoryUnderDrift(t *testing.T) {
 		buf := make([]float64, d)
 		for i := 0; i < n; i++ {
 			gen.Next(buf)
-			det.Process(buf)
+			processPoint(t, det, buf)
 			if i+1 == mid {
 				midStats = det.Stats()
 			}
@@ -159,7 +159,7 @@ func TestEvolutionPromotesAndDetects(t *testing.T) {
 	// mix outliers pass undetected.
 	for i := 0; i < int(cfg.EpochTicks); i++ {
 		isOut := gen.Next(buf)
-		if det.Process(buf) && isOut {
+		if processPoint(t, det, buf) && isOut {
 			t.Fatalf("tick %d: mix outlier flagged before any evolution", i+1)
 		}
 	}
@@ -186,7 +186,7 @@ func TestEvolutionPromotesAndDetects(t *testing.T) {
 	var planted, caught int
 	for tick := int(cfg.EpochTicks); tick < 3000; tick++ {
 		isOut := gen.Next(buf)
-		flag := det.Process(buf)
+		flag := processPoint(t, det, buf)
 		if tick < 2*int(cfg.EpochTicks)+100 {
 			continue // promoted subspaces still warming up / unreferenced
 		}
@@ -211,7 +211,7 @@ func TestEvolutionPromotesAndDetects(t *testing.T) {
 	quiet := bench.NewGenerator(gcfg)
 	for i := 0; i < 2400; i++ {
 		quiet.Next(buf)
-		det.Process(buf)
+		processPoint(t, det, buf)
 	}
 	s := det.Stats()
 	if s.EvolvedActive != 0 {
@@ -243,7 +243,7 @@ func TestEvolutionShardInvariance(t *testing.T) {
 		v := make([]bool, n)
 		for i := 0; i < n; i++ {
 			gen.Next(buf)
-			v[i] = det.Process(buf)
+			v[i] = processPoint(t, det, buf)
 		}
 		verdicts = append(verdicts, v)
 		var dims []uint16
@@ -289,7 +289,7 @@ func TestEpochBatchMatchesPointwise(t *testing.T) {
 
 	want := make([]bool, n)
 	for i := 0; i < n; i++ {
-		want[i] = det1.Process(flat[i*6 : (i+1)*6])
+		want[i] = processPoint(t, det1, flat[i*6:(i+1)*6])
 	}
 
 	det2, _ := mk()
@@ -301,7 +301,9 @@ func TestEpochBatchMatchesPointwise(t *testing.T) {
 		if off+b > n {
 			b = n - off
 		}
-		det2.ProcessBatch(flat[off*6:(off+b)*6], got[off:off+b])
+		if _, err := det2.ProcessBatchScoredErr(flat[off*6:(off+b)*6], got[off:off+b], nil); err != nil {
+			t.Fatal(err)
+		}
 		off += b
 	}
 	for i := range want {

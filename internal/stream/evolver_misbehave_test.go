@@ -63,7 +63,7 @@ func TestPanickingEvolverIsContained(t *testing.T) {
 	point := []float64{0.5, 0.5, 0.5, 0.5, 0.5, 0.5}
 	run := func(epochs int) Stats {
 		for i := 0; i < 64*epochs; i++ {
-			det.Process(point)
+			processPoint(t, det, point)
 		}
 		return det.Stats()
 	}
@@ -128,7 +128,7 @@ func TestMisbehavingEvolverIsContained(t *testing.T) {
 
 	point := []float64{0.5, 0.5, 0.5, 0.5, 0.5}
 	for i := 0; i < 64; i++ {
-		det.Process(point)
+		processPoint(t, det, point)
 	}
 	s := det.Stats()
 	if s.Sweeps != 1 {
@@ -152,7 +152,7 @@ func TestMisbehavingEvolverIsContained(t *testing.T) {
 	// Second epoch: the legal demote lands once, the double demote is
 	// dropped, and the detector keeps processing normally.
 	for i := 0; i < 64; i++ {
-		det.Process(point)
+		processPoint(t, det, point)
 	}
 	s = det.Stats()
 	if s.Promoted != 1 || s.Demoted != 1 {
@@ -166,7 +166,7 @@ func TestMisbehavingEvolverIsContained(t *testing.T) {
 	}
 	// The purge left no ghost cells for the demoted subspace.
 	for i := 0; i < 64; i++ {
-		det.Process(point)
+		processPoint(t, det, point)
 	}
 	if s := det.Stats(); s.Sweeps != 3 {
 		t.Fatalf("Sweeps = %d, want 3 — detector stalled after misbehaving evolver", s.Sweeps)

@@ -36,28 +36,28 @@ func microbenchDetector(tb testing.TB, shards, batch int, scoring bool) (*Detect
 	}
 	gen.Fill(flat, labels, batch)
 	for i := 0; i < 4; i++ { // populate every cell the batch touches
-		if scoring {
-			det.ProcessBatchScored(flat, out, scores)
-		} else {
-			det.ProcessBatch(flat, out)
+		if _, err := det.ProcessBatchScoredErr(flat, out, scores); err != nil {
+			tb.Fatal(err)
 		}
 	}
 	return det, flat, out, scores
 }
 
 // BenchmarkProcessPoint measures the pointwise hot path: one point
-// through every SST subspace as a one-point batch, reported with
-// allocations (steady state must be zero — TestProcessZeroAllocs is the
-// hard gate).
+// through every SST subspace as a one-point batch with nil scores,
+// reported with allocations (steady state must be zero —
+// TestProcessZeroAllocs is the hard gate).
 func BenchmarkProcessPoint(b *testing.B) {
-	det, flat, _, _ := microbenchDetector(b, 1, 512, false)
+	det, flat, out, _ := microbenchDetector(b, 1, 512, false)
 	defer det.Close()
 	d := 20
 	points := len(flat) / d
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		det.Process(flat[(i%points)*d : (i%points+1)*d])
+		if _, err := det.ProcessBatchScoredErr(flat[(i%points)*d:(i%points+1)*d], out[:1], nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -84,10 +84,8 @@ func BenchmarkProcessBatch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if v.scoring {
-					det.ProcessBatchScored(flat, out, scores)
-				} else {
-					det.ProcessBatch(flat, out)
+				if _, err := det.ProcessBatchScoredErr(flat, out, scores); err != nil {
+					b.Fatal(err)
 				}
 			}
 			b.StopTimer()
@@ -112,10 +110,12 @@ func TestProcessBatchZeroAllocs(t *testing.T) {
 			det, flat, out, _ := microbenchDetector(t, 2, v.batch, false)
 			defer det.Close()
 			allocs := testing.AllocsPerRun(20, func() {
-				det.ProcessBatch(flat, out)
+				if _, err := det.ProcessBatchScoredErr(flat, out, nil); err != nil {
+					t.Fatal(err)
+				}
 			})
 			if allocs != 0 {
-				t.Fatalf("steady-state ProcessBatch (%s) allocates %.1f times per batch, want 0", v.name, allocs)
+				t.Fatalf("steady-state batch ingest (%s) allocates %.1f times per batch, want 0", v.name, allocs)
 			}
 		})
 	}
@@ -132,7 +132,9 @@ func TestProcessBatchScoredZeroAllocs(t *testing.T) {
 	attrs := make([]Attribution, 0, 256)
 	offs := make([]Offender, 0, 16)
 	allocs := testing.AllocsPerRun(20, func() {
-		det.ProcessBatchScored(flat, out, scores)
+		if _, err := det.ProcessBatchScoredErr(flat, out, scores); err != nil {
+			t.Fatal(err)
+		}
 		for i := range out {
 			if out[i] {
 				attrs = det.Explain(i, attrs[:0])
@@ -141,23 +143,26 @@ func TestProcessBatchScoredZeroAllocs(t *testing.T) {
 		offs = det.TopK(offs[:0])
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state ProcessBatchScored allocates %.1f times per batch, want 0", allocs)
+		t.Fatalf("steady-state scored batch ingest allocates %.1f times per batch, want 0", allocs)
 	}
 }
 
 // TestProcessScoredZeroAllocs is the pointwise equivalent: scored
-// single-point ingestion stays allocation-free in steady state.
+// single-point ingestion — a one-point batch with 1-slot verdict and
+// score buffers — stays allocation-free in steady state.
 func TestProcessScoredZeroAllocs(t *testing.T) {
-	det, flat, _, _ := microbenchDetector(t, 1, 512, true)
+	det, flat, out, scores := microbenchDetector(t, 1, 512, true)
 	defer det.Close()
 	const d = 20
 	points := len(flat) / d
 	i := 0
 	allocs := testing.AllocsPerRun(512, func() {
-		det.ProcessScored(flat[(i%points)*d : (i%points+1)*d])
+		if _, err := det.ProcessBatchScoredErr(flat[(i%points)*d:(i%points+1)*d], out[:1], scores[:1]); err != nil {
+			t.Fatal(err)
+		}
 		i++
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state ProcessScored allocates %.3f times per point, want 0", allocs)
+		t.Fatalf("steady-state scored one-point ingest allocates %.3f times per point, want 0", allocs)
 	}
 }

@@ -18,14 +18,13 @@ func feedClean(t *testing.T, det *Detector, n int) []bool {
 	out := make([]bool, n)
 	for i := 0; i < n; i++ {
 		next(buf)
-		out[i] = det.Process(buf)
+		out[i] = processPoint(t, det, buf)
 	}
 	return out
 }
 
 // TestNonFiniteRejected: every NaN/±Inf placement returns ErrNonFinite
-// from both error-returning entry points, with the offending point and
-// dimension named in the message.
+// from one-point and batch ingest calls alike.
 func TestNonFiniteRejected(t *testing.T) {
 	cfg := DefaultConfig(4)
 	det, err := New(cfg)
@@ -38,13 +37,13 @@ func TestNonFiniteRejected(t *testing.T) {
 		for dim := 0; dim < cfg.Dims; dim++ {
 			pt := []float64{0.1, 0.2, 0.3, 0.4}
 			pt[dim] = p
-			if _, err := det.ProcessErr(pt); !errors.Is(err, ErrNonFinite) {
-				t.Fatalf("ProcessErr(%g at dim %d) = %v, want ErrNonFinite", p, dim, err)
+			out := make([]bool, 3)
+			if _, err := det.ProcessBatchScoredErr(pt, out[:1], nil); !errors.Is(err, ErrNonFinite) {
+				t.Fatalf("one-point ingest (%g at dim %d) = %v, want ErrNonFinite", p, dim, err)
 			}
 			batch := append(append([]float64{0.5, 0.5, 0.5, 0.5}, pt...), 0.6, 0.6, 0.6, 0.6)
-			out := make([]bool, 3)
-			if _, err := det.ProcessBatchErr(batch, out); !errors.Is(err, ErrNonFinite) {
-				t.Fatalf("ProcessBatchErr(%g at dim %d) = %v, want ErrNonFinite", p, dim, err)
+			if _, err := det.ProcessBatchScoredErr(batch, out, nil); !errors.Is(err, ErrNonFinite) {
+				t.Fatalf("batch ingest (%g at dim %d) = %v, want ErrNonFinite", p, dim, err)
 			}
 		}
 	}
@@ -54,8 +53,10 @@ func TestNonFiniteRejected(t *testing.T) {
 // Tick and the summary tables stay untouched, and every later verdict is
 // identical to a detector that never saw the poison — the reject happens
 // before any state mutation, not after a partial one. Besides NaN/±Inf,
-// the poison includes finite points of the wrong length, from empty to
-// 10·Dims; a 2·Dims slice must be rejected, not ingested as two points.
+// the poison includes finite one-point calls of the wrong length, from
+// empty (an accepted no-op) to 10·Dims: a ragged slice fails with
+// ErrBatchLength, and a multi-point slice with its 1-slot verdict
+// buffer fails with ErrVerdictBuffer rather than being ingested.
 func TestNonFiniteRejectBeforeMutate(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.EpochTicks = 128
@@ -75,31 +76,38 @@ func TestNonFiniteRejectBeforeMutate(t *testing.T) {
 	buf := make([]float64, cfg.Dims)
 	for i := 0; i < 300; i++ {
 		warm(buf)
-		dirty.Process(buf)
-		clean.Process(buf)
+		processPoint(t, dirty, buf)
+		processPoint(t, clean, buf)
 	}
 	before := dirty.Stats()
-	if _, err := dirty.ProcessErr([]float64{0.1, math.NaN(), 0.3, 0.4}); !errors.Is(err, ErrNonFinite) {
+	out := make([]bool, 2)
+	if _, err := dirty.ProcessBatchScoredErr([]float64{0.1, math.NaN(), 0.3, 0.4}, out[:1], nil); !errors.Is(err, ErrNonFinite) {
 		t.Fatalf("poison point not rejected: %v", err)
 	}
-	for _, n := range []int{0, 1, cfg.Dims - 1, cfg.Dims + 1, 2 * cfg.Dims, 10 * cfg.Dims} {
+	if n, err := dirty.ProcessBatchScoredErr(nil, out[:1], nil); n != 0 || err != nil {
+		t.Fatalf("empty point: got (%d, %v), want (0, nil)", n, err)
+	}
+	for _, n := range []int{1, cfg.Dims - 1, cfg.Dims + 1, 2 * cfg.Dims, 10 * cfg.Dims} {
 		pt := make([]float64, n)
 		for i := range pt {
 			pt[i] = 0.5
 		}
-		_, err := dirty.ProcessErr(pt)
-		if !errors.Is(err, ErrBatchLength) {
-			t.Fatalf("%d-value point not rejected: %v", n, err)
+		want, msg := ErrBatchLength, fmt.Sprintf("%d values over %d dims", n, cfg.Dims)
+		if n%cfg.Dims == 0 {
+			want, msg = ErrVerdictBuffer, fmt.Sprintf("1 slots for %d points", n/cfg.Dims)
 		}
-		if want := fmt.Sprintf("point has %d values, want %d", n, cfg.Dims); !strings.Contains(err.Error(), want) {
-			t.Fatalf("%d-value point: error %q does not say %q", n, err, want)
+		_, err := dirty.ProcessBatchScoredErr(pt, out[:1], nil)
+		if !errors.Is(err, want) {
+			t.Fatalf("%d-value point: got %v, want %v", n, err, want)
+		}
+		if !strings.Contains(err.Error(), msg) {
+			t.Fatalf("%d-value point: error %q does not say %q", n, err, msg)
 		}
 	}
-	out := make([]bool, 2)
-	if _, err := dirty.ProcessBatchErr([]float64{
+	if _, err := dirty.ProcessBatchScoredErr([]float64{
 		0.1, 0.2, 0.3, 0.4,
 		math.Inf(-1), 0.2, 0.3, 0.4,
-	}, out); !errors.Is(err, ErrNonFinite) {
+	}, out, nil); !errors.Is(err, ErrNonFinite) {
 		t.Fatalf("poison batch not rejected: %v", err)
 	}
 	after := dirty.Stats()
@@ -113,32 +121,4 @@ func TestNonFiniteRejectBeforeMutate(t *testing.T) {
 			t.Fatalf("verdict %d diverged after rejected poison: dirty=%v clean=%v", i, dv[i], cv[i])
 		}
 	}
-}
-
-// TestNonFinitePanicsOnPanicAPI: the panic-flavored entry points wrap
-// the same typed error, so defensive callers can still errors.Is it.
-func TestNonFinitePanicsOnPanicAPI(t *testing.T) {
-	cfg := DefaultConfig(2)
-	det, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer det.Close()
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Fatalf("%s did not panic on non-finite input", name)
-			}
-			if e, ok := r.(error); !ok || !errors.Is(e, ErrNonFinite) {
-				t.Fatalf("%s panicked with %v, want ErrNonFinite", name, r)
-			}
-		}()
-		f()
-	}
-	mustPanic("Process", func() { det.Process([]float64{math.NaN(), 1}) })
-	mustPanic("ProcessBatch", func() {
-		det.ProcessBatch([]float64{1, 2, 3, math.Inf(1)}, make([]bool, 2))
-	})
 }

@@ -116,10 +116,12 @@ func TestShardInvarianceProperty(t *testing.T) {
 			}
 			off := 0
 			for _, b := range plan {
+				var sc []float64
 				if scoring {
-					det.ProcessBatchScored(flat[off*d:(off+b)*d], verdicts[off:off+b], scores[off:off+b])
-				} else {
-					det.ProcessBatch(flat[off*d:(off+b)*d], verdicts[off:off+b])
+					sc = scores[off : off+b]
+				}
+				if _, err := det.ProcessBatchScoredErr(flat[off*d:(off+b)*d], verdicts[off:off+b], sc); err != nil {
+					t.Fatalf("%s: %v", scenario, err)
 				}
 				if supervised {
 					// The analyst confirms every planted outlier of the

@@ -53,14 +53,18 @@ func TestRankingQuality(t *testing.T) {
 			scores := make([]float64, batch)
 			for i := 0; i < pool; i++ {
 				gen.Fill(flat, labels, batch)
-				det.ProcessBatchScored(flat, out, scores)
+				if _, err := det.ProcessBatchScoredErr(flat, out, scores); err != nil {
+					t.Fatal(err)
+				}
 			}
 
 			var evalScores, evalBits []float64
 			var evalLabels []bool
 			for i := 0; i < evalBatches; i++ {
 				gen.Fill(flat, labels, batch)
-				det.ProcessBatchScored(flat, out, scores)
+				if _, err := det.ProcessBatchScoredErr(flat, out, scores); err != nil {
+					t.Fatal(err)
+				}
 				evalScores = append(evalScores, scores...)
 				evalLabels = append(evalLabels, labels...)
 				for _, f := range out {

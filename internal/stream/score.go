@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -146,63 +145,11 @@ func (d *Detector) mergeScores(n int, t0 uint64, base int, scores []float64) {
 	}
 }
 
-// ProcessScored is Process returning the point's ensemble outlier
-// score alongside the verdict: 0 when no subspace flagged the point,
-// otherwise the noisy-OR combination of the flagged subspaces'
-// severities, in (0,1]. Requires Config.Scoring (panics with
-// ErrScoringDisabled otherwise). The verdict is identical to what
-// Process would have returned.
-func (d *Detector) ProcessScored(point []float64) (bool, float64) {
-	if d.closed {
-		panic(ErrClosed)
-	}
-	if !d.cfg.Scoring {
-		panic(ErrScoringDisabled)
-	}
-	out := d.Process(point)
-	return out, d.scoreScratch[0]
-}
-
-// ProcessBatchScored is ProcessBatch writing each point's ensemble
-// score into scores (len(scores) ≥ n) alongside its verdict. Verdicts
-// are identical to ProcessBatch; scores[i] > 0 iff out[i]. Panics on a
-// malformed call; ProcessBatchScoredErr is the error-returning form.
-func (d *Detector) ProcessBatchScored(flat []float64, out []bool, scores []float64) int {
-	n, err := d.ProcessBatchScoredErr(flat, out, scores)
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
-
-// ProcessBatchScoredErr is ProcessBatchScored with validation instead
-// of panics: ErrScoringDisabled when the detector was built without
-// Config.Scoring, ErrScoreBuffer when scores has fewer than n slots,
-// plus every error ProcessBatchErr can return — all before any state
-// is touched.
-func (d *Detector) ProcessBatchScoredErr(flat []float64, out []bool, scores []float64) (int, error) {
-	if d.closed {
-		return 0, ErrClosed
-	}
-	if !d.cfg.Scoring {
-		return 0, ErrScoringDisabled
-	}
-	n, err := d.validateBatch(flat, out)
-	if err != nil || n == 0 {
-		return n, err
-	}
-	if len(scores) < n {
-		return 0, fmt.Errorf("%w: %d slots for %d points", ErrScoreBuffer, len(scores), n)
-	}
-	d.processBatches(flat, n, out, scores[:n])
-	return n, nil
-}
-
 // Explain appends the attribution entries of point i of the most
-// recent Process/ProcessBatch call (i is the index within that call;
-// 0 for the pointwise API) to buf and returns the extended slice,
-// ordered by subspace ID. A point that was not flagged — or any i
-// when scoring is disabled — appends nothing. The entries are valid
+// recent ingest call (i is the index within that call; 0 for a
+// one-point call) to buf and returns the extended slice, ordered by
+// subspace ID. A point that was not flagged — or any i when scoring
+// is disabled — appends nothing. The entries are valid
 // snapshots (copied, not aliased); passing a reused buf[:0] makes the
 // query allocation-free once buf has grown to the working size.
 func (d *Detector) Explain(i int, buf []Attribution) []Attribution {

@@ -111,7 +111,7 @@ func newScoreOracle(t *testing.T, det *Detector, cfg Config) *scoreOracle {
 
 // process folds one point and returns the flag, the ensemble score and
 // the point's attribution entries in subspace-ID order — exactly what
-// ProcessScored + Explain(0) report.
+// a one-point scored ingest call + Explain(0) report.
 func (o *scoreOracle) process(point []float64) (bool, float64, []Attribution) {
 	o.tick++
 	tick := o.tick
@@ -275,18 +275,17 @@ func (o *scoreOracle) sweep(tick uint64) {
 // agreement on every verdict, score, attribution entry (subspace,
 // cell, fired measures, severity) and the final top-K — with epoch
 // sweeps keeping the popRD floor live so all four measures fire. The
-// pointwise leg ingests one ProcessScored call per point; the batched
-// leg feeds ProcessBatchScored random batch sizes 1–300, so epoch
-// splits, sub-64 batches (fused touch) and coalesced batches all
-// occur. Together they make the oracle the reference for both touch
-// paths.
+// pointwise leg ingests one one-point call per point; the batched leg
+// feeds random batch sizes 1–300, so epoch splits, sub-64 batches
+// (fused touch) and coalesced batches all occur. Together they make
+// the oracle the reference for both touch paths.
 func TestAttributionOracle(t *testing.T) {
 	t.Run("pointwise", func(t *testing.T) {
 		plan := make([]int, 2000)
 		for i := range plan {
 			plan[i] = 1
 		}
-		checkAttributionOracle(t, plan, true)
+		checkAttributionOracle(t, plan)
 	})
 	t.Run("batched", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(13))
@@ -296,7 +295,7 @@ func TestAttributionOracle(t *testing.T) {
 			plan = append(plan, b)
 			rem -= b
 		}
-		s := checkAttributionOracle(t, plan, false)
+		s := checkAttributionOracle(t, plan)
 		t.Logf("%d batches, %d grouping passes", len(plan), s.CoalesceGroupings)
 		if s.CoalesceGroupings == 0 {
 			t.Fatal("no batch took the coalesced fold; the leg exercised one touch path only")
@@ -306,7 +305,7 @@ func TestAttributionOracle(t *testing.T) {
 
 // checkAttributionOracle runs one TestAttributionOracle leg over the
 // batch plan and returns the detector's final Stats.
-func checkAttributionOracle(t *testing.T, plan []int, pointwise bool) Stats {
+func checkAttributionOracle(t *testing.T, plan []int) Stats {
 	const d = 6
 	cfg := DefaultConfig(d)
 	cfg.MaxSubspaceDim = 2
@@ -346,10 +345,8 @@ func checkAttributionOracle(t *testing.T, plan []int, pointwise bool) Stats {
 	off := 0
 	for _, b := range plan {
 		batch := flat[off*d : (off+b)*d]
-		if pointwise {
-			out[0], scores[0] = det.ProcessScored(batch)
-		} else {
-			det.ProcessBatchScored(batch, out[:b], scores[:b])
+		if _, err := det.ProcessBatchScoredErr(batch, out[:b], scores[:b]); err != nil {
+			t.Fatal(err)
 		}
 		for j := 0; j < b; j++ {
 			i := off + j
@@ -407,7 +404,7 @@ func checkAttributionOracle(t *testing.T, plan []int, pointwise bool) Stats {
 }
 
 // TestScoringAdditivePointwise runs the same stream through a scoring
-// and a non-scoring detector via the pointwise APIs: verdicts must be
+// and a non-scoring detector one point per call: verdicts must be
 // identical, and the score must be positive exactly on flagged points.
 func TestScoringAdditivePointwise(t *testing.T) {
 	const d, n = 8, 3000
@@ -431,11 +428,16 @@ func TestScoringAdditivePointwise(t *testing.T) {
 
 	gen := bench.NewGenerator(bench.DefaultGenConfig(d))
 	buf := make([]float64, d)
+	var out [1]bool
+	var sc [1]float64
 	flagged := 0
 	for i := 0; i < n; i++ {
 		gen.Next(buf)
-		want := plain.Process(buf)
-		got, score := scored.ProcessScored(buf)
+		want := processPoint(t, plain, buf)
+		if _, err := scored.ProcessBatchScoredErr(buf, out[:], sc[:]); err != nil {
+			t.Fatal(err)
+		}
+		got, score := out[0], sc[0]
 		if got != want {
 			t.Fatalf("point %d: scoring changed the verdict: %v vs %v", i, got, want)
 		}
@@ -477,7 +479,9 @@ func TestScoreReconstruction(t *testing.T) {
 	bench.NewGenerator(bench.DefaultGenConfig(d)).Fill(flat, labels, n)
 	out := make([]bool, n)
 	scores := make([]float64, n)
-	det.ProcessBatchScored(flat, out, scores)
+	if _, err := det.ProcessBatchScoredErr(flat, out, scores); err != nil {
+		t.Fatal(err)
+	}
 
 	var attrs []Attribution
 	flagged := 0
@@ -515,10 +519,11 @@ func TestScoreReconstruction(t *testing.T) {
 	}
 }
 
-// TestBatchErrContracts pins every typed error of the batch APIs and
-// the buffer contracts the docs promise: validation happens before any
-// state is touched, only out[0:n] is written, longer buffers keep
-// their tail.
+// TestBatchErrContracts pins every typed error of the ingest call, the
+// order they are checked in, and the buffer contracts the docs
+// promise: validation happens before any state is touched, nil scores
+// are accepted by every detector, only out[0:n] and scores[0:n] are
+// written, longer buffers keep their tail.
 func TestBatchErrContracts(t *testing.T) {
 	const d = 4
 	mk := func(scoring bool) *Detector {
@@ -541,24 +546,37 @@ func TestBatchErrContracts(t *testing.T) {
 	closedScored.Close()
 
 	flat := make([]float64, 2*d)
+	ragged := flat[:2*d-1]
+	poisoned := append([]float64{math.NaN()}, flat[1:]...)
 	out := make([]bool, 2)
 	scores := make([]float64, 2)
 	cases := []struct {
-		name string
-		call func() (int, error)
-		want error
+		name   string
+		det    *Detector
+		flat   []float64
+		out    []bool
+		scores []float64
+		want   error
 	}{
-		{"closed", func() (int, error) { return closedPlain.ProcessBatchErr(flat, out) }, ErrClosed},
-		{"closed scored", func() (int, error) { return closedScored.ProcessBatchScoredErr(flat, out, scores) }, ErrClosed},
-		{"ragged batch", func() (int, error) { return plain.ProcessBatchErr(flat[:2*d-1], out) }, ErrBatchLength},
-		{"ragged scored batch", func() (int, error) { return scored.ProcessBatchScoredErr(flat[:2*d-1], out, scores) }, ErrBatchLength},
-		{"short verdict buffer", func() (int, error) { return plain.ProcessBatchErr(flat, out[:1]) }, ErrVerdictBuffer},
-		{"short scored verdict buffer", func() (int, error) { return scored.ProcessBatchScoredErr(flat, out[:1], scores) }, ErrVerdictBuffer},
-		{"short score buffer", func() (int, error) { return scored.ProcessBatchScoredErr(flat, out, scores[:1]) }, ErrScoreBuffer},
-		{"scoring disabled", func() (int, error) { return plain.ProcessBatchScoredErr(flat, out, scores) }, ErrScoringDisabled},
+		{"closed", closedPlain, flat, out, nil, ErrClosed},
+		{"closed scored", closedScored, flat, out, scores, ErrClosed},
+		{"closed before scoring disabled", closedPlain, flat, out, scores, ErrClosed},
+		{"closed before ragged batch", closedScored, ragged, out, nil, ErrClosed},
+		{"closed before short score buffer", closedScored, flat, out, scores[:1], ErrClosed},
+		{"scoring disabled", plain, flat, out, scores, ErrScoringDisabled},
+		{"scoring disabled, empty score buffer", plain, flat, out, scores[:0], ErrScoringDisabled},
+		{"scoring disabled, empty batch", plain, nil, nil, scores[:0], ErrScoringDisabled},
+		{"scoring disabled before ragged batch", plain, ragged, out, scores, ErrScoringDisabled},
+		{"ragged batch", plain, ragged, out, nil, ErrBatchLength},
+		{"ragged scored batch", scored, ragged, out, scores, ErrBatchLength},
+		{"short verdict buffer", plain, flat, out[:1], nil, ErrVerdictBuffer},
+		{"short scored verdict buffer", scored, flat, out[:1], scores, ErrVerdictBuffer},
+		{"non-finite before short score buffer", scored, poisoned, out, scores[:1], ErrNonFinite},
+		{"short score buffer", scored, flat, out, scores[:1], ErrScoreBuffer},
+		{"empty score buffer", scored, flat, out, scores[:0], ErrScoreBuffer},
 	}
 	for _, tc := range cases {
-		n, err := tc.call()
+		n, err := tc.det.ProcessBatchScoredErr(tc.flat, tc.out, tc.scores)
 		if !errors.Is(err, tc.want) {
 			t.Errorf("%s: got (%d, %v), want %v", tc.name, n, err, tc.want)
 		}
@@ -570,12 +588,16 @@ func TestBatchErrContracts(t *testing.T) {
 		t.Fatalf("a rejected call touched detector state: ticks %d, %d", plain.Tick(), scored.Tick())
 	}
 
-	// Empty batches are accepted no-ops even with nil buffers.
-	if n, err := plain.ProcessBatchErr(nil, nil); n != 0 || err != nil {
-		t.Fatalf("empty batch: got (%d, %v)", n, err)
-	}
-	if n, err := scored.ProcessBatchScoredErr(nil, nil, nil); n != 0 || err != nil {
-		t.Fatalf("empty scored batch: got (%d, %v)", n, err)
+	for _, det := range []*Detector{plain, scored} {
+		// Empty batches are accepted no-ops even with nil buffers.
+		if n, err := det.ProcessBatchScoredErr(nil, nil, nil); n != 0 || err != nil {
+			t.Fatalf("scoring=%v: empty batch: got (%d, %v), want (0, nil)", det.cfg.Scoring, n, err)
+		}
+		// nil scores are accepted with and without Config.Scoring, and
+		// n counts points, not verdict slots.
+		if n, err := det.ProcessBatchScoredErr(make([]float64, 3*d), make([]bool, 8), nil); n != 3 || err != nil {
+			t.Fatalf("scoring=%v: valid batch with nil scores: got (%d, %v), want (3, nil)", det.cfg.Scoring, n, err)
+		}
 	}
 
 	// The verdict contract is per point, not per float: out needs n
@@ -591,24 +613,80 @@ func TestBatchErrContracts(t *testing.T) {
 	if longScores[2] != 9 || longScores[3] != 9 {
 		t.Fatalf("scores tail overwritten: %v", longScores)
 	}
+}
 
-	// The panicking wrappers surface the same typed errors.
-	func() {
-		defer func() {
-			if r := recover(); !errors.Is(r.(error), ErrScoringDisabled) {
-				t.Errorf("ProcessScored on a non-scoring detector panicked with %v", r)
+// TestNilScoresKeepsAttribution: a scoring detector fed nil scores
+// still maintains attribution and the top-K — scoring is a property of
+// the detector, not of the call — so it reports the same verdicts,
+// Explain entries and TopK as a twin fed the same batches with a score
+// buffer.
+func TestNilScoresKeepsAttribution(t *testing.T) {
+	const d, n = 6, 3000
+	cfg := DefaultConfig(d)
+	cfg.Lambda = 0.01
+	cfg.Warmup = 30
+	cfg.EpochTicks = 300 // mid-batch epoch splits
+	cfg.RDPopulatedThreshold = 0.2
+	cfg.Shards = 2
+	cfg.Scoring = true
+	cfg.TopK = 8
+	mk := func() *Detector {
+		det, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(det.Close)
+		return det
+	}
+	withBuf, nilBuf := mk(), mk()
+
+	flat := make([]float64, n*d)
+	bench.NewGenerator(bench.DefaultGenConfig(d)).Fill(flat, make([]bool, n), n)
+	rng := rand.New(rand.NewSource(17))
+	outA, outB := make([]bool, 300), make([]bool, 300)
+	scores := make([]float64, 300)
+	var ea, eb []Attribution
+	flagged := 0
+	for off := 0; off < n; {
+		b := min(1+rng.Intn(300), n-off)
+		batch := flat[off*d : (off+b)*d]
+		if _, err := withBuf.ProcessBatchScoredErr(batch, outA[:b], scores[:b]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := nilBuf.ProcessBatchScoredErr(batch, outB[:b], nil); err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < b; j++ {
+			if outA[j] != outB[j] {
+				t.Fatalf("point %d: verdict %v with a score buffer, %v with nil scores", off+j, outA[j], outB[j])
 			}
-		}()
-		plain.ProcessScored(make([]float64, d))
-	}()
-	func() {
-		defer func() {
-			if r := recover(); !errors.Is(r.(error), ErrScoreBuffer) {
-				t.Errorf("ProcessBatchScored with a short score buffer panicked with %v", r)
+			ea, eb = withBuf.Explain(j, ea[:0]), nilBuf.Explain(j, eb[:0])
+			if len(ea) != len(eb) {
+				t.Fatalf("point %d: %d Explain entries with a score buffer, %d with nil scores", off+j, len(ea), len(eb))
 			}
-		}()
-		scored.ProcessBatchScored(flat, out, scores[:1])
-	}()
+			for k := range ea {
+				if ea[k] != eb[k] {
+					t.Fatalf("point %d entry %d: %+v with a score buffer, %+v with nil scores", off+j, k, ea[k], eb[k])
+				}
+			}
+			if outA[j] {
+				flagged++
+			}
+		}
+		off += b
+	}
+	if flagged == 0 {
+		t.Fatal("no flagged points; attribution not exercised")
+	}
+	topA, topB := withBuf.TopK(nil), nilBuf.TopK(nil)
+	if len(topA) == 0 || len(topA) != len(topB) {
+		t.Fatalf("TopK: %d offenders with a score buffer, %d with nil scores", len(topA), len(topB))
+	}
+	for i := range topA {
+		if topA[i] != topB[i] {
+			t.Fatalf("TopK entry %d: %+v with a score buffer, %+v with nil scores", i, topA[i], topB[i])
+		}
+	}
 }
 
 // TestScoringConfigValidation pins the constructor checks the scoring

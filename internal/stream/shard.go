@@ -251,7 +251,7 @@ func (s *shard) removeSubspace(id uint32) {
 }
 
 // processBatch is the shard's only ingest pass: it folds a batch of n
-// points (n == 1 for the pointwise API) into every owned subspace and
+// points (n == 1 for a one-point call) into every owned subspace and
 // records verdicts in the shard-local bitset (OR-merged word-wise by
 // the dispatcher).
 //

@@ -25,10 +25,10 @@ import (
 // the subspaces (same rules New and the epoch path use) and is subject
 // to the same ULP-level sweep-sum caveat as live shard-count changes.
 //
-// Quiescence: Snapshot runs on the goroutine that drives Process /
-// ProcessBatch, between calls — the shard workers are idle at every
-// such boundary by construction (ProcessBatch joins them before
-// returning), so no extra synchronization is needed and none is taken.
+// Quiescence: Snapshot runs on the goroutine that drives ingestion,
+// between calls — the shard workers are idle at every such boundary by
+// construction (the ingest call joins them before returning), so no
+// extra synchronization is needed and none is taken.
 //
 // Wire format (snapshot format version 4): the sections below inside
 // the internal/snapshot codec's framing (magic, format version, CRC32
@@ -61,8 +61,8 @@ var ErrConfigMismatch = errors.New("stream: snapshot does not match the config")
 
 // Snapshot serializes the detector's full state to w in the versioned,
 // CRC-checked format of internal/snapshot. It must be called from the
-// goroutine driving Process/ProcessBatch, between calls (the workers
-// are idle at every such boundary); the detector is not mutated beyond
+// goroutine driving ingestion, between calls (the workers are idle at
+// every such boundary); the detector is not mutated beyond
 // its checkpoint telemetry counters, and processing may resume
 // immediately after. Returns ErrClosed after Close.
 func (d *Detector) Snapshot(w io.Writer) error {

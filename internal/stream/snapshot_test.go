@@ -121,15 +121,22 @@ func (tr *snapTrial) config(t *testing.T, shards int) Config {
 }
 
 // feed runs batches [from, to) of the trial's plan through det,
-// writing verdicts into place and replaying the supervised feedback.
-func (tr *snapTrial) feed(det *Detector, verdicts []bool, from, to int) {
+// writing verdicts (and, when scores is non-nil, scores) into place
+// and replaying the supervised feedback.
+func (tr *snapTrial) feed(t *testing.T, det *Detector, verdicts []bool, scores []float64, from, to int) {
 	off := 0
 	for i := 0; i < from; i++ {
 		off += tr.batches[i]
 	}
 	for bi := from; bi < to; bi++ {
 		b := tr.batches[bi]
-		det.ProcessBatch(tr.flat[off*tr.d:(off+b)*tr.d], verdicts[off:off+b])
+		var sc []float64
+		if scores != nil {
+			sc = scores[off : off+b]
+		}
+		if _, err := det.ProcessBatchScoredErr(tr.flat[off*tr.d:(off+b)*tr.d], verdicts[off:off+b], sc); err != nil {
+			t.Fatalf("%s: %v", tr.scenario, err)
+		}
 		if tr.supervised {
 			for i := off; i < off+b; i++ {
 				if tr.labels[i] {
@@ -150,7 +157,7 @@ func (tr *snapTrial) oracle(t *testing.T, shards int) ([]bool, Stats, []uint16) 
 	}
 	defer det.Close()
 	verdicts := make([]bool, tr.n)
-	tr.feed(det, verdicts, 0, len(tr.batches))
+	tr.feed(t, det, verdicts, nil, 0, len(tr.batches))
 	return verdicts, det.Stats(), evolvedDims(det)
 }
 
@@ -201,7 +208,7 @@ func TestRestoreEquivalenceProperty(t *testing.T) {
 				t.Fatalf("%s: %v", tr.scenario, err)
 			}
 			verdicts := make([]bool, tr.n)
-			tr.feed(det, verdicts, 0, tr.killAfter)
+			tr.feed(t, det, verdicts, nil, 0, tr.killAfter)
 			var buf bytes.Buffer
 			if err := det.Snapshot(&buf); err != nil {
 				t.Fatalf("%s: snapshot: %v", tr.scenario, err)
@@ -212,7 +219,7 @@ func TestRestoreEquivalenceProperty(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: restore: %v", tr.scenario, err)
 			}
-			tr.feed(restored, verdicts, tr.killAfter, len(tr.batches))
+			tr.feed(t, restored, verdicts, nil, tr.killAfter, len(tr.batches))
 			for i := range oracleV {
 				if verdicts[i] != oracleV[i] {
 					t.Fatalf("%s shards=%d: verdict for point %d differs after restore", tr.scenario, shards, i)
@@ -247,7 +254,7 @@ func TestRestoreAcrossShardCounts(t *testing.T) {
 				t.Fatalf("%s: %v", tr.scenario, err)
 			}
 			verdicts := make([]bool, tr.n)
-			tr.feed(det, verdicts, 0, tr.killAfter)
+			tr.feed(t, det, verdicts, nil, 0, tr.killAfter)
 			var buf bytes.Buffer
 			if err := det.Snapshot(&buf); err != nil {
 				t.Fatalf("%s: snapshot: %v", tr.scenario, err)
@@ -258,7 +265,7 @@ func TestRestoreAcrossShardCounts(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %d->%d shards: restore: %v", tr.scenario, from, to, err)
 			}
-			tr.feed(restored, verdicts, tr.killAfter, len(tr.batches))
+			tr.feed(t, restored, verdicts, nil, tr.killAfter, len(tr.batches))
 			for i := range oracleV {
 				if verdicts[i] != oracleV[i] {
 					t.Fatalf("%s %d->%d shards: verdict for point %d differs after re-dealt restore", tr.scenario, from, to, i)
@@ -284,7 +291,7 @@ func TestSnapshotRestoreByteStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer det.Close()
-	tr.feed(det, make([]bool, tr.n), 0, tr.killAfter)
+	tr.feed(t, det, make([]bool, tr.n), nil, 0, tr.killAfter)
 	var first bytes.Buffer
 	if err := det.Snapshot(&first); err != nil {
 		t.Fatal(err)
@@ -317,7 +324,7 @@ func TestRestoreConfigMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer det.Close()
-	tr.feed(det, make([]bool, tr.n), 0, tr.killAfter)
+	tr.feed(t, det, make([]bool, tr.n), nil, 0, tr.killAfter)
 	var buf bytes.Buffer
 	if err := det.Snapshot(&buf); err != nil {
 		t.Fatal(err)
@@ -370,7 +377,7 @@ func TestRestoreFaultInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer det.Close()
-	tr.feed(det, make([]bool, tr.n), 0, tr.killAfter)
+	tr.feed(t, det, make([]bool, tr.n), nil, 0, tr.killAfter)
 	var buf bytes.Buffer
 	if err := det.Snapshot(&buf); err != nil {
 		t.Fatal(err)
@@ -433,25 +440,6 @@ func TestRestoreScoringEquivalence(t *testing.T) {
 			cfg.TopK = 8
 			return cfg
 		}
-		feedScored := func(det *Detector, verdicts []bool, scores []float64, from, to int) {
-			off := 0
-			for i := 0; i < from; i++ {
-				off += tr.batches[i]
-			}
-			for bi := from; bi < to; bi++ {
-				b := tr.batches[bi]
-				det.ProcessBatchScored(tr.flat[off*tr.d:(off+b)*tr.d], verdicts[off:off+b], scores[off:off+b])
-				if tr.supervised {
-					for i := off; i < off+b; i++ {
-						if tr.labels[i] {
-							det.MarkExample(tr.flat[i*tr.d : (i+1)*tr.d])
-						}
-					}
-				}
-				off += b
-			}
-		}
-
 		for _, shards := range []int{1, 4} {
 			oracle, err := New(cfgOf(shards))
 			if err != nil {
@@ -459,7 +447,7 @@ func TestRestoreScoringEquivalence(t *testing.T) {
 			}
 			oracleV := make([]bool, tr.n)
 			oracleScores := make([]float64, tr.n)
-			feedScored(oracle, oracleV, oracleScores, 0, len(tr.batches))
+			tr.feed(t, oracle, oracleV, oracleScores, 0, len(tr.batches))
 			oracleTop := oracle.TopK(nil)
 			oracle.Close()
 
@@ -469,7 +457,7 @@ func TestRestoreScoringEquivalence(t *testing.T) {
 			}
 			verdicts := make([]bool, tr.n)
 			scores := make([]float64, tr.n)
-			feedScored(det, verdicts, scores, 0, tr.killAfter)
+			tr.feed(t, det, verdicts, scores, 0, tr.killAfter)
 			var buf bytes.Buffer
 			if err := det.Snapshot(&buf); err != nil {
 				t.Fatalf("%s: snapshot: %v", tr.scenario, err)
@@ -480,7 +468,7 @@ func TestRestoreScoringEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: restore: %v", tr.scenario, err)
 			}
-			feedScored(restored, verdicts, scores, tr.killAfter, len(tr.batches))
+			tr.feed(t, restored, verdicts, scores, tr.killAfter, len(tr.batches))
 			for i := range oracleV {
 				if verdicts[i] != oracleV[i] {
 					t.Fatalf("%s shards=%d: verdict for point %d differs after restore", tr.scenario, shards, i)
@@ -595,7 +583,7 @@ func TestKeeperRecoveryEndToEnd(t *testing.T) {
 	// batch each generation covers.
 	genBatches := make(map[string]int)
 	for bi := 0; bi < tr.killAfter; bi++ {
-		tr.feed(det, verdicts, bi, bi+1)
+		tr.feed(t, det, verdicts, nil, bi, bi+1)
 		p, _, err := keeper.Save(det.Snapshot)
 		if err != nil {
 			t.Fatalf("checkpoint after batch %d: %v", bi, err)
@@ -641,7 +629,7 @@ func TestKeeperRecoveryEndToEnd(t *testing.T) {
 	if resume != tr.killAfter-1 {
 		t.Fatalf("recovered generation covers %d batches, want the previous one (%d)", resume, tr.killAfter-1)
 	}
-	tr.feed(restored, verdicts, resume, len(tr.batches))
+	tr.feed(t, restored, verdicts, nil, resume, len(tr.batches))
 	// Verdicts before the recovered boundary were emitted pre-crash;
 	// everything from the resume point must match the oracle.
 	off := 0
@@ -668,10 +656,10 @@ func TestSnapshotAfterClose(t *testing.T) {
 	}
 }
 
-// TestProcessBatchErrValidation covers the typed-error batch entry
-// point: ragged input, short verdict buffers, empty batches, and use
-// after Close all surface as errors instead of panics, and the
-// panicking wrapper still panics for legacy callers.
+// TestProcessBatchErrValidation covers the typed-error batch contract
+// of the ingest call with nil scores: ragged input, short verdict
+// buffers, empty batches, and use after Close all surface as errors
+// instead of panics.
 func TestProcessBatchErrValidation(t *testing.T) {
 	cfg := DefaultConfig(4)
 	det, err := New(cfg)
@@ -679,28 +667,20 @@ func TestProcessBatchErrValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := make([]bool, 8)
-	if _, err := det.ProcessBatchErr(make([]float64, 6), out); !errors.Is(err, ErrBatchLength) {
+	if _, err := det.ProcessBatchScoredErr(make([]float64, 6), out, nil); !errors.Is(err, ErrBatchLength) {
 		t.Fatalf("ragged batch: got %v, want ErrBatchLength", err)
 	}
-	if _, err := det.ProcessBatchErr(make([]float64, 4*8), make([]bool, 2)); !errors.Is(err, ErrVerdictBuffer) {
+	if _, err := det.ProcessBatchScoredErr(make([]float64, 4*8), make([]bool, 2), nil); !errors.Is(err, ErrVerdictBuffer) {
 		t.Fatalf("short buffer: got %v, want ErrVerdictBuffer", err)
 	}
-	if n, err := det.ProcessBatchErr(nil, nil); n != 0 || err != nil {
+	if n, err := det.ProcessBatchScoredErr(nil, nil, nil); n != 0 || err != nil {
 		t.Fatalf("empty batch: got (%d, %v), want (0, nil)", n, err)
 	}
-	if n, err := det.ProcessBatchErr(make([]float64, 4*3), out); n != 3 || err != nil {
+	if n, err := det.ProcessBatchScoredErr(make([]float64, 4*3), out, nil); n != 3 || err != nil {
 		t.Fatalf("valid batch: got (%d, %v)", n, err)
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("ProcessBatch did not panic on ragged input")
-			}
-		}()
-		det.ProcessBatch(make([]float64, 6), out)
-	}()
 	det.Close()
-	if _, err := det.ProcessBatchErr(make([]float64, 4), out); !errors.Is(err, ErrClosed) {
+	if _, err := det.ProcessBatchScoredErr(make([]float64, 4), out, nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("after close: got %v, want ErrClosed", err)
 	}
 }

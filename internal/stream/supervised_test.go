@@ -74,7 +74,7 @@ func TestSupervisedEvolutionLearnsFromExamples(t *testing.T) {
 	marked := 0
 	for i := 0; i < int(cfg.EpochTicks); i++ {
 		isOut := gen.Next(buf)
-		det.Process(buf)
+		processPoint(t, det, buf)
 		if isOut {
 			det.MarkExample(buf)
 			marked++
@@ -107,7 +107,7 @@ func TestSupervisedEvolutionLearnsFromExamples(t *testing.T) {
 	var planted, caught int
 	for tick := int(cfg.EpochTicks); tick < 3000; tick++ {
 		isOut := gen.Next(buf)
-		flag := det.Process(buf)
+		flag := processPoint(t, det, buf)
 		if isOut {
 			det.MarkExample(buf)
 		}
@@ -169,8 +169,8 @@ func TestMarkExampleRetention(t *testing.T) {
 		if err := det.MarkExample(tc.point); !errors.Is(err, tc.want) {
 			t.Errorf("%s point: MarkExample = %v, want %v", tc.name, err, tc.want)
 		}
-		if got := det.ExampleCount(); got != 0 {
-			t.Fatalf("%s point: ExampleCount = %d, want 0", tc.name, got)
+		if got := det.Stats().Examples; got != 0 {
+			t.Fatalf("%s point: Stats().Examples = %d, want 0", tc.name, got)
 		}
 	}
 
@@ -180,33 +180,33 @@ func TestMarkExampleRetention(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := det.ExampleCount(); got != cfg.MaxExamples {
-		t.Fatalf("ExampleCount = %d after 6 marks, want cap %d", got, cfg.MaxExamples)
+	if got := det.Stats().Examples; got != cfg.MaxExamples {
+		t.Fatalf("Stats().Examples = %d after 6 marks, want cap %d", got, cfg.MaxExamples)
 	}
 
 	// Advance past the TTL: the epoch sweep at tick 200 must expire the
 	// tick-0 examples (age 200 > 150).
 	for i := 0; i < 200; i++ {
-		det.Process(point)
+		processPoint(t, det, point)
 	}
-	if got := det.ExampleCount(); got != 0 {
-		t.Fatalf("ExampleCount = %d after TTL expiry, want 0", got)
+	if got := det.Stats().Examples; got != 0 {
+		t.Fatalf("Stats().Examples = %d after TTL expiry, want 0", got)
 	}
 
 	// Fresh examples survive the next sweep (age below TTL).
 	det.MarkExample(point)
 	for i := 0; i < 100; i++ {
-		det.Process(point)
+		processPoint(t, det, point)
 	}
-	if got := det.ExampleCount(); got != 1 {
-		t.Fatalf("ExampleCount = %d, want 1 fresh example retained", got)
+	if got := det.Stats().Examples; got != 1 {
+		t.Fatalf("Stats().Examples = %d, want 1 fresh example retained", got)
 	}
 
 	det.Close()
 	if err := det.MarkExample(point); !errors.Is(err, ErrClosed) {
 		t.Errorf("MarkExample after Close = %v, want ErrClosed", err)
 	}
-	if got := det.ExampleCount(); got != 1 {
-		t.Errorf("ExampleCount = %d after a refused mark, want 1", got)
+	if got := det.Stats().Examples; got != 1 {
+		t.Errorf("Stats().Examples = %d after a refused mark, want 1", got)
 	}
 }
